@@ -44,6 +44,12 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
+// usage rejects a bad flag value: it prints the error and exits 2.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, "dmrsim:", err)
+	os.Exit(2)
+}
+
 // parseElastic parses the -elastic envelope spec "min:max" ("min" alone
 // or "min:" leaves max at 0, the whole cluster).
 func parseElastic(s string) (*slurm.ElasticConfig, error) {
@@ -105,6 +111,9 @@ func main() {
 	pprofFile := flag.String("pprof", "", "write a host CPU profile of the simulator run (go tool pprof)")
 	rtraceFile := flag.String("rtrace", "", "write a host runtime/trace of the simulator run (go tool trace)")
 	flag.Parse()
+	if *jobs < 1 {
+		usage(fmt.Errorf("-jobs %d: need at least one job", *jobs))
+	}
 
 	if *pprofFile != "" {
 		f := create(*pprofFile)
@@ -131,14 +140,12 @@ func main() {
 		params = workload.Preliminary(*jobs, 1, *seed)
 		cfg.Nodes = 20
 	}
-	if *nodes > 0 {
+	if *nodes != 0 {
 		cfg.Nodes = *nodes
 	}
 	shape, err := workload.NamedArrival(*arrival)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dmrsim:", err)
-		fmt.Fprintln(os.Stderr, "usage: dmrsim -arrival constant|diurnal|bursty")
-		os.Exit(2)
+		usage(err)
 	}
 	params.Arrival = shape
 	cfg.Async = *async
@@ -146,13 +153,14 @@ func main() {
 	if *period >= 0 {
 		cfg.SchedPeriod = sim.Seconds(*period)
 	}
-	if *ladder && *sleepAfter > 0 {
-		fmt.Fprintln(os.Stderr, "dmrsim: -sleep and -ladder are mutually exclusive (the ladder fixes its own rung timings)")
-		os.Exit(2)
+	if *ladder && *sleepAfter != 0 {
+		usage(fmt.Errorf("-sleep and -ladder are mutually exclusive (the ladder fixes its own rung timings)"))
 	}
-	if *withEnergy || *sleepAfter > 0 || *energyPolicy || *powerCap > 0 || *thermal || *ladder || *elastic != "" || *migrate {
+	if *withEnergy || *sleepAfter != 0 || *energyPolicy || *powerCap != 0 || *thermal || *ladder || *elastic != "" || *migrate {
 		cfg.Energy = true
-		cfg.IdleSleep = sim.Seconds(*sleepAfter)
+		if *sleepAfter != 0 {
+			cfg.SleepLadder = []slurm.SleepRung{{AfterIdle: sim.Seconds(*sleepAfter)}}
+		}
 		cfg.EnergyPolicy = *energyPolicy
 		cfg.PowerCapW = *powerCap
 		cfg.Thermal = *thermal
@@ -163,19 +171,17 @@ func main() {
 	if *elastic != "" {
 		el, err := parseElastic(*elastic)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dmrsim:", err)
-			os.Exit(2)
+			usage(err)
 		}
 		cfg.Elastic = el
 	}
-	if *mtbf > 0 || *bootFailP > 0 {
+	if *mtbf != 0 || *mttr != 0 || *bootFailP != 0 {
 		cfg.Faults = &faults.Config{
 			MTBF:      sim.Seconds(*mtbf),
 			MTTR:      sim.Seconds(*mttr),
 			BootFailP: *bootFailP,
 			Seed:      *seed,
 		}
-		cfg.Energy = true
 	}
 	cfg.CkptEvery = *ckpt
 	if *migrate {
@@ -187,8 +193,7 @@ func main() {
 			total = platform.Marenostrum3().Nodes
 		}
 		if *fastNodes > total {
-			fmt.Fprintf(os.Stderr, "dmrsim: -fastnodes %d exceeds the %d-node fleet\n", *fastNodes, total)
-			os.Exit(2)
+			usage(fmt.Errorf("-fastnodes %d exceeds the %d-node fleet", *fastNodes, total))
 		}
 		pc := platform.Marenostrum3()
 		pc.Nodes = total
@@ -218,10 +223,26 @@ func main() {
 		cfg.Telemetry = telemetry.New()
 	}
 
+	if err := cfg.Validate(); err != nil {
+		usage(err)
+	}
+
 	specs := workload.Generate(params)
 	specs = workload.SetFlexible(specs, !*fixed)
 	sys := core.NewSystem(cfg)
 	sys.SubmitAll(specs)
+	for _, j := range sys.Jobs() {
+		// A job needs its full width to start unless it was submitted
+		// moldable, in which case its floor is MinNodes. One that can
+		// never start would pend forever.
+		floor := j.ReqNodes
+		if j.MinNodes > 0 && j.MinNodes < floor {
+			floor = j.MinNodes
+		}
+		if floor > sys.Ctl.TotalNodes() {
+			usage(fmt.Errorf("job %s needs %d nodes to start, more than the %d-node fleet (raise -nodes)", j.Name, floor, sys.Ctl.TotalNodes()))
+		}
+	}
 	if *watch > 0 {
 		period := sim.Seconds(*watch)
 		var tick func()
@@ -262,7 +283,7 @@ func main() {
 	fmt.Printf("  avg completion time:  %10.0f s\n", res.AvgCompletion.Seconds())
 	fmt.Printf("  resource utilization: %10.2f %%\n", res.UtilRate)
 	fmt.Printf("  reconfigurations:     %10d\n", res.Resizes)
-	if cfg.Energy {
+	if sys.Cfg.Energy {
 		fmt.Printf("  cluster energy:       %10.0f kJ\n", res.EnergyJ/1e3)
 		fmt.Printf("  avg cluster draw:     %10.0f W\n", res.AvgPowerW)
 		fmt.Printf("  node wake-ups:        %10d\n", sys.Energy.Wakes())

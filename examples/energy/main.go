@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/slurm"
 	"repro/internal/workload"
 )
 
@@ -36,7 +37,7 @@ func main() {
 	runCfg := func(aware bool, flexible bool) *metrics.WorkloadResult {
 		cfg := core.DefaultConfig()
 		cfg.Energy = true
-		cfg.IdleSleep = 120 * sim.Second
+		cfg.SleepLadder = []slurm.SleepRung{{AfterIdle: 120 * sim.Second}}
 		cfg.EnergyPolicy = aware
 		return core.RunWorkload(cfg, workload.SetFlexible(specs, flexible))
 	}

@@ -15,7 +15,7 @@ import (
 
 func main() {
 	rows := experiments.Fig1(experiments.Fig1Targets)
-	fmt.Print(experiments.FormatFig1(rows))
+	fmt.Print(experiments.Fig1Table(rows).Text())
 	fmt.Println()
 	fmt.Println("paper reports spawning factors of 31.4x (48-12), 63.75x (48-24), 77x (48-48):")
 	fmt.Println("the C/R bars pay the PFS round trip plus requeue; DMR redistributes in memory.")

@@ -17,7 +17,7 @@ import (
 
 func main() {
 	rows := experiments.IntraNode([]int{1, 2, 4, 8, 16}, 32, 4*sim.Millisecond)
-	fmt.Print(experiments.FormatIntraNode(rows))
+	fmt.Print(experiments.IntraNodeTable(rows).Text())
 	fmt.Println()
 	fmt.Println("speedup saturates as the serialized reduction chain dominates —")
 	fmt.Println("the Amdahl behaviour folded into the per-rank step-time models")

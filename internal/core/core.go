@@ -65,16 +65,11 @@ type Config struct {
 	// power-state metering, per-job attributed energy in the accounting
 	// records, and the EnergyJ/AvgPowerW workload measures.
 	Energy bool
-	// IdleSleep is the idle timeout after which free nodes drop to a
-	// sleep state (requires Energy; 0 keeps idle nodes powered on).
-	IdleSleep sim.Time
-	// SleepState selects the S-state idle nodes drop into (0 is the
-	// shallow suspend, deeper states draw less but wake slower).
-	SleepState int
 	// SleepLadder steps idle nodes through progressively deeper S-states
-	// the longer they stay idle, replacing the single IdleSleep/
-	// SleepState drop when non-empty (implies Energy). Allocating a
-	// laddered node pays the wake latency of the rung it occupies.
+	// the longer they stay idle (implies Energy; empty keeps idle nodes
+	// powered on). A single rung is the plain "sleep after N seconds"
+	// setup. Allocating a laddered node pays the wake latency of the
+	// rung it occupies.
 	SleepLadder []slurm.SleepRung
 	// Thermal attaches the default per-class thermal envelope to every
 	// node profile that does not already carry one (implies Energy):
@@ -145,6 +140,27 @@ const SchedPeriodDefault sim.Time = -1
 // DefaultConfig returns the standard experiment setup.
 func DefaultConfig() Config {
 	return Config{Policy: true, SchedPeriod: SchedPeriodDefault, TimeLimitFactor: 4}
+}
+
+// Validate reports the first setting a System cannot honour. NewSystem
+// trusts its input (configurations built in code are checked by their
+// tests); entry points that take user input call Validate first.
+func (cfg Config) Validate() error {
+	switch {
+	case cfg.Nodes < 0:
+		return fmt.Errorf("core: negative node count %d", cfg.Nodes)
+	case cfg.PowerCapW < 0:
+		return fmt.Errorf("core: negative power cap %v W", cfg.PowerCapW)
+	case cfg.CkptEvery < 0:
+		return fmt.Errorf("core: negative checkpoint interval %d", cfg.CkptEvery)
+	}
+	if err := slurm.ValidateLadder(cfg.SleepLadder); err != nil {
+		return err
+	}
+	if cfg.Faults != nil {
+		return cfg.Faults.Validate()
+	}
+	return nil
 }
 
 // System is a wired cluster ready to accept workloads.
@@ -232,8 +248,6 @@ func NewSystem(cfg Config) *System {
 			acct.SubscribePowerSamples(func(_ sim.Time, w float64) { power.Set(w) })
 		}
 		scfg.Energy = acct
-		scfg.IdleSleep = cfg.IdleSleep
-		scfg.SleepState = cfg.SleepState
 		scfg.SleepLadder = cfg.SleepLadder
 		scfg.PowerCapW = cfg.PowerCapW
 		scfg.Elastic = cfg.Elastic

@@ -160,8 +160,7 @@ func TestEnergyWithDeepSleepCompletesAndMeters(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Nodes = 20
 	cfg.Energy = true
-	cfg.IdleSleep = 30 * sim.Second
-	cfg.SleepState = 1 // deep sleep: 30 s wake latency
+	cfg.SleepLadder = []slurm.SleepRung{{AfterIdle: 30 * sim.Second, State: 1}} // deep sleep: 30 s wake latency
 	sys := NewSystem(cfg)
 	sys.SubmitAll(specs)
 	res := sys.Run()

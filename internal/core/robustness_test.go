@@ -1,0 +1,72 @@
+package core
+
+import (
+	"testing"
+
+	"repro/internal/faults"
+	"repro/internal/sim"
+	"repro/internal/slurm"
+	"repro/internal/workload"
+)
+
+// Regression: a crash while a malleable job's nodes were still waking
+// (start logged, Launch deferred behind the wake latency) requeued the
+// job, and the deferred Launch then fired anyway. Two process sets ran
+// the relaunched job: both shrank it ("ShrinkJob 8 -> 8 nodes") and
+// both completed it ("JobComplete on COMPLETED job"). Sparse arrivals
+// on a deep-sleeping fleet make every start a 30 s wake window, and a
+// harsh MTBF lands a crash inside one on each of these seeds.
+func TestCrashDuringWakeWindowLaunchesOnce(t *testing.T) {
+	for _, seed := range []int64{1, 8, 9} {
+		p := workload.Preliminary(12, 1, seed)
+		p.MeanArrival = 200 * sim.Second
+		specs := workload.Generate(p)
+		cfg := DefaultConfig()
+		cfg.Nodes = 20
+		cfg.SleepLadder = []slurm.SleepRung{{AfterIdle: 20 * sim.Second, State: 1}}
+		cfg.Faults = &faults.Config{MTBF: 8000 * sim.Second, MTTR: 100 * sim.Second, Horizon: 20000 * sim.Second, Seed: seed}
+		sys := NewSystem(cfg)
+		sys.SubmitAll(specs)
+		res := sys.Run()
+		if res.Jobs != len(specs) {
+			t.Fatalf("seed %d: %d of %d jobs completed", seed, res.Jobs, len(specs))
+		}
+		if fs := sys.Ctl.FaultStats(); fs.Requeues == 0 {
+			t.Fatalf("seed %d: no crash landed in a wake window (%d failures); the regression is not exercised", seed, fs.Failures)
+		}
+	}
+}
+
+// Validate rejects every setting NewSystem cannot honour, and only
+// those: the stock configuration and a fully featured one pass.
+func TestConfigValidate(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mut  func(*Config)
+		ok   bool
+	}{
+		{"default", func(*Config) {}, true},
+		{"all-features", func(c *Config) {
+			c.PowerCapW, c.CkptEvery = 12000, 5
+			c.SleepLadder = slurm.DefaultSleepLadder()
+			c.Faults = &faults.Config{MTBF: sim.Hour, MTTR: sim.Minute, BootFailP: 1}
+		}, true},
+		{"negative nodes", func(c *Config) { c.Nodes = -3 }, false},
+		{"negative power cap", func(c *Config) { c.PowerCapW = -1 }, false},
+		{"negative checkpoint interval", func(c *Config) { c.CkptEvery = -1 }, false},
+		{"negative sleep timeout", func(c *Config) { c.SleepLadder = []slurm.SleepRung{{AfterIdle: -sim.Second}} }, false},
+		{"shallower second rung", func(c *Config) {
+			c.SleepLadder = []slurm.SleepRung{{AfterIdle: sim.Second, State: 1}, {AfterIdle: sim.Minute, State: 0}}
+		}, false},
+		{"negative MTBF", func(c *Config) { c.Faults = &faults.Config{MTBF: -sim.Second} }, false},
+		{"negative MTTR", func(c *Config) { c.Faults = &faults.Config{MTBF: sim.Hour, MTTR: -sim.Second} }, false},
+		{"boot-failure probability above 1", func(c *Config) { c.Faults = &faults.Config{BootFailP: 1.5} }, false},
+		{"negative boot-failure probability", func(c *Config) { c.Faults = &faults.Config{BootFailP: -0.1} }, false},
+	} {
+		cfg := DefaultConfig()
+		tc.mut(&cfg)
+		if err := cfg.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}

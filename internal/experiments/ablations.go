@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -80,14 +79,14 @@ func CRTransfer(jobs int, seed int64) []AblationRow {
 	}
 }
 
-// FormatAblation renders an ablation sweep.
-func FormatAblation(title string, rows []AblationRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "%-22s %12s %12s %10s %10s\n", "config", "makespan(s)", "avgwait(s)", "util%", "resizes")
+// ablationTable is one ablation sweep.
+func ablationTable(title string, rows []AblationRow) *Table {
+	t := &Table{Title: title, Cols: []Col{
+		{"config", -22}, {"makespan(s)", 12}, {"avgwait(s)", 12}, {"util%", 10}, {"resizes", 10},
+	}}
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-22s %12.0f %12.0f %10.2f %10d\n",
-			r.Name, r.Result.Makespan.Seconds(), r.Result.AvgWait.Seconds(), r.Result.UtilRate, r.Result.Resizes)
+		t.Row(r.Name, num(r.Result.Makespan.Seconds(), 0), num(r.Result.AvgWait.Seconds(), 0),
+			num(r.Result.UtilRate, 2), fmt.Sprint(r.Result.Resizes))
 	}
-	return b.String()
+	return t
 }

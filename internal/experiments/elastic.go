@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"repro/internal/core"
@@ -137,50 +136,48 @@ func Elastic(jobs int, patterns []string, targets []sim.Time, seed int64) ([]Ela
 	return rows, nil
 }
 
-// FormatElastic renders the study as a table: one static row and one
-// row per wait target, for each arrival shape.
-func FormatElastic(rows []ElasticRow) string {
+// elasticText renders the study: per arrival shape, one static row and
+// one row per wait target. A blank first column indents each table
+// under its heading.
+func elasticText(rows []ElasticRow) string {
 	var b strings.Builder
 	b.WriteString("Elastic fleet: static (full fleet + sleep ladder) vs elastic envelope (same seeded workload, rigid jobs)\n")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%s arrivals, %d jobs, envelope min %d:\n", r.Pattern, r.Jobs, r.Min)
-		fmt.Fprintf(&b, "  %-12s %12s %8s %12s %12s %10s %8s %8s\n",
-			"regime", "energy(kJ)", "gain%", "p95wait(s)", "avgwait(s)", "mkspan(s)", "boots", "offs")
-		fmt.Fprintf(&b, "  %-12s %12.0f %8s %12.0f %12.0f %10.0f %8s %8s\n",
-			"static", r.Static.EnergyJ/1e3, "-",
-			r.Static.P95Wait.Seconds(), r.Static.AvgWait.Seconds(),
-			r.Static.Makespan.Seconds(), "-", "-")
+		t := &Table{Title: fmt.Sprintf("%s arrivals, %d jobs, envelope min %d:", r.Pattern, r.Jobs, r.Min), Cols: []Col{
+			{"", 1}, {"regime", -12}, {"energy(kJ)", 12}, {"gain%", 8}, {"p95wait(s)", 12}, {"avgwait(s)", 12},
+			{"mkspan(s)", 10}, {"boots", 8}, {"offs", 8},
+		}}
+		t.Row("", "static", num(r.Static.EnergyJ/1e3, 0), "-", num(r.Static.P95Wait.Seconds(), 0),
+			num(r.Static.AvgWait.Seconds(), 0), num(r.Static.Makespan.Seconds(), 0), "-", "-")
 		for i, run := range r.Runs {
-			fmt.Fprintf(&b, "  %-12s %12.0f %8.2f %12.0f %12.0f %10.0f %8d %8d\n",
-				fmt.Sprintf("target=%.0fs", run.TargetWait.Seconds()),
-				run.Res.EnergyJ/1e3, r.EnergyGainPct(i),
-				run.Res.P95Wait.Seconds(), run.Res.AvgWait.Seconds(),
-				run.Res.Makespan.Seconds(), run.Boots, run.Decommissions)
+			t.Row("", fmt.Sprintf("target=%.0fs", run.TargetWait.Seconds()), num(run.Res.EnergyJ/1e3, 0),
+				num(r.EnergyGainPct(i), 2), num(run.Res.P95Wait.Seconds(), 0), num(run.Res.AvgWait.Seconds(), 0),
+				num(run.Res.Makespan.Seconds(), 0), fmt.Sprint(run.Boots), fmt.Sprint(run.Decommissions))
 		}
+		b.WriteString(t.Text())
 	}
 	return b.String()
 }
 
-// WriteElasticSummaryCSV writes the study as one CSV row per regime —
-// the golden-pinned artifact of the -exp elastic command.
-func WriteElasticSummaryCSV(w io.Writer, rows []ElasticRow) error {
-	if _, err := fmt.Fprintln(w, "pattern,jobs,regime,target_wait_s,energy_j,p95_wait_s,avg_wait_s,makespan_s,boots,decommissions"); err != nil {
-		return err
-	}
+// elasticSummary is the study as one CSV row per regime — the
+// golden-pinned artifact of the -exp elastic command.
+func elasticSummary(rows []ElasticRow) *Table {
+	t := csvTable("pattern,jobs,regime,target_wait_s,energy_j,p95_wait_s,avg_wait_s,makespan_s,boots,decommissions")
 	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "%s,%d,static,,%.1f,%.3f,%.3f,%.3f,,\n",
-			r.Pattern, r.Jobs, r.Static.EnergyJ,
-			r.Static.P95Wait.Seconds(), r.Static.AvgWait.Seconds(), r.Static.Makespan.Seconds()); err != nil {
-			return err
-		}
+		t.Row(r.Pattern, fmt.Sprint(r.Jobs), "static", "", num(r.Static.EnergyJ, 1),
+			num(r.Static.P95Wait.Seconds(), 3), num(r.Static.AvgWait.Seconds(), 3), num(r.Static.Makespan.Seconds(), 3), "", "")
 		for _, run := range r.Runs {
-			if _, err := fmt.Fprintf(w, "%s,%d,elastic,%.0f,%.1f,%.3f,%.3f,%.3f,%d,%d\n",
-				r.Pattern, r.Jobs, run.TargetWait.Seconds(), run.Res.EnergyJ,
-				run.Res.P95Wait.Seconds(), run.Res.AvgWait.Seconds(), run.Res.Makespan.Seconds(),
-				run.Boots, run.Decommissions); err != nil {
-				return err
-			}
+			t.Row(r.Pattern, fmt.Sprint(r.Jobs), "elastic", num(run.TargetWait.Seconds(), 0), num(run.Res.EnergyJ, 1),
+				num(run.Res.P95Wait.Seconds(), 3), num(run.Res.AvgWait.Seconds(), 3), num(run.Res.Makespan.Seconds(), 3),
+				fmt.Sprint(run.Boots), fmt.Sprint(run.Decommissions))
 		}
 	}
-	return nil
+	return t
+}
+
+// elasticReport is the study's text with its summary CSV.
+func elasticReport(rows []ElasticRow) Report {
+	rep := textReport(elasticText(rows))
+	rep.Add(Artifact{Name: "elastic_summary.csv", Write: elasticSummary(rows).WriteCSV})
+	return rep
 }

@@ -44,7 +44,7 @@ func TestElasticRejectsUnknownPattern(t *testing.T) {
 // byte (regenerate with -update).
 func TestElasticCSVGolden(t *testing.T) {
 	var b strings.Builder
-	if err := WriteElasticSummaryCSV(&b, elasticStudy()); err != nil {
+	if err := elasticSummary(elasticStudy()).WriteCSV(&b); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "elastic_summary.csv", []byte(b.String()))
@@ -69,7 +69,7 @@ func TestElasticBeatsStaticDiurnal(t *testing.T) {
 			}
 		}
 		t.Fatalf("no diurnal adapt target beats the static fleet on energy at equal-or-better p95:\n%s",
-			FormatElastic([]ElasticRow{row}))
+			elasticText([]ElasticRow{row}))
 	}
 	t.Fatal("no diurnal row in the elastic study")
 }

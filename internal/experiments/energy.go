@@ -2,11 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
+	"io"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/slurm"
 	"repro/internal/workload"
 )
 
@@ -17,6 +18,10 @@ var EnergySizes = []int{25, 50, 100}
 // shallow sleep state in the energy experiments: long enough that nodes
 // do not thrash across back-to-back jobs, short against job runtimes.
 const DefaultIdleSleep = 120 * sim.Second
+
+// idleSleep is the experiments' one-rung sleep ladder: S0 after
+// DefaultIdleSleep.
+func idleSleep() []slurm.SleepRung { return []slurm.SleepRung{{AfterIdle: DefaultIdleSleep}} }
 
 // EnergyRow compares one workload under three regimes on the same
 // 65-node machine with power accounting and idle sleep enabled: rigid
@@ -47,7 +52,7 @@ func (r EnergyRow) AwareGainPct() float64 {
 func energyConfig(aware bool) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Energy = true
-	cfg.IdleSleep = DefaultIdleSleep
+	cfg.SleepLadder = idleSleep()
 	cfg.EnergyPolicy = aware
 	return cfg
 }
@@ -70,30 +75,68 @@ func Energy(sizes []int, seed int64) []EnergyRow {
 	return out
 }
 
-// FormatEnergy renders the energy comparison: total energy, mean draw
-// and makespan per regime, with savings relative to rigid.
-func FormatEnergy(rows []EnergyRow) string {
-	var b strings.Builder
-	b.WriteString("Energy: rigid vs malleable vs energy-aware policy (same seeded workload)\n")
-	fmt.Fprintf(&b, "%6s %12s %12s %12s %8s %8s %10s %10s %10s\n",
-		"jobs", "rigid(kJ)", "mall(kJ)", "aware(kJ)", "mgain%", "again%",
-		"rigid(W)", "mall(W)", "aware(W)")
+// energyTables is the energy comparison: total energy, mean draw and
+// makespan per regime, with savings relative to rigid.
+func energyTables(rows []EnergyRow) string {
+	totals := &Table{Title: "Energy: rigid vs malleable vs energy-aware policy (same seeded workload)", Cols: []Col{
+		{"jobs", 6}, {"rigid(kJ)", 12}, {"mall(kJ)", 12}, {"aware(kJ)", 12}, {"mgain%", 8}, {"again%", 8},
+		{"rigid(W)", 10}, {"mall(W)", 10}, {"aware(W)", 10},
+	}}
+	perJob := &Table{Title: "per-job energy (kJ/job) and makespan (s):", Cols: []Col{
+		{"jobs", 6}, {"rigid", 12}, {"mall", 12}, {"aware", 12}, {"rigid(s)", 10}, {"mall(s)", 10}, {"aware(s)", 10},
+	}}
+	kJPerJob := func(res *metrics.WorkloadResult) string { return num(res.EnergyJ/1e3/float64(res.Jobs), 1) }
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%6d %12.0f %12.0f %12.0f %8.2f %8.2f %10.0f %10.0f %10.0f\n",
-			r.Jobs, r.Rigid.EnergyJ/1e3, r.Malleable.EnergyJ/1e3, r.Aware.EnergyJ/1e3,
-			r.MalleableGainPct(), r.AwareGainPct(),
-			r.Rigid.AvgPowerW, r.Malleable.AvgPowerW, r.Aware.AvgPowerW)
+		totals.Row(fmt.Sprint(r.Jobs), num(r.Rigid.EnergyJ/1e3, 0), num(r.Malleable.EnergyJ/1e3, 0), num(r.Aware.EnergyJ/1e3, 0),
+			num(r.MalleableGainPct(), 2), num(r.AwareGainPct(), 2),
+			num(r.Rigid.AvgPowerW, 0), num(r.Malleable.AvgPowerW, 0), num(r.Aware.AvgPowerW, 0))
+		perJob.Row(fmt.Sprint(r.Jobs), kJPerJob(r.Rigid), kJPerJob(r.Malleable), kJPerJob(r.Aware),
+			num(r.Rigid.Makespan.Seconds(), 0), num(r.Malleable.Makespan.Seconds(), 0), num(r.Aware.Makespan.Seconds(), 0))
 	}
-	b.WriteString("per-job energy (kJ/job) and makespan (s):\n")
-	fmt.Fprintf(&b, "%6s %12s %12s %12s %10s %10s %10s\n",
-		"jobs", "rigid", "mall", "aware", "rigid(s)", "mall(s)", "aware(s)")
+	return totals.Text() + perJob.Text()
+}
+
+// energyReport is the comparison's tables with, per workload size, the
+// three regimes' power traces (CSV and one SVG), plus the energy bars.
+func energyReport(rows []EnergyRow) Report {
+	rep := textReport(energyTables(rows))
+	names := []string{"rigid", "malleable", "energy-aware"}
+	var groups []metrics.BarGroup
 	for _, r := range rows {
-		perJob := func(res *metrics.WorkloadResult) float64 {
-			return res.EnergyJ / 1e3 / float64(res.Jobs)
-		}
-		fmt.Fprintf(&b, "%6d %12.1f %12.1f %12.1f %10.0f %10.0f %10.0f\n",
-			r.Jobs, perJob(r.Rigid), perJob(r.Malleable), perJob(r.Aware),
-			r.Rigid.Makespan.Seconds(), r.Malleable.Makespan.Seconds(), r.Aware.Makespan.Seconds())
+		prefix := fmt.Sprintf("energy_%dj", r.Jobs)
+		rep.Add(powerTraceCSV(prefix+"_rigid_power.csv", r.Rigid.Power))
+		rep.Add(powerTraceCSV(prefix+"_malleable_power.csv", r.Malleable.Power))
+		rep.Add(powerTraceCSV(prefix+"_aware_power.csv", r.Aware.Power))
+		groups = append(groups, metrics.BarGroup{
+			Label:  fmt.Sprintf("%d jobs", r.Jobs),
+			Values: []float64{r.Rigid.EnergyJ / 1e3, r.Malleable.EnergyJ / 1e3, r.Aware.EnergyJ / 1e3},
+		})
 	}
-	return b.String()
+	rep.Add(Artifact{Name: "energy.svg", Write: func(w io.Writer) error {
+		return metrics.WriteBarsSVG(w, "Total cluster energy per workload", "energy (kJ)", names, palette, groups)
+	}})
+	for _, r := range rows {
+		rep.Add(powerTraceSVG(fmt.Sprintf("energy_%dj_power.svg", r.Jobs), fmt.Sprintf("Cluster power draw (%d jobs)", r.Jobs),
+			0, names, r.Rigid, r.Malleable, r.Aware))
+	}
+	return rep
+}
+
+// powerTraceCSV is one run's power trace as a CSV artifact.
+func powerTraceCSV(name string, tr *metrics.PowerTrace) Artifact {
+	return Artifact{Name: name, Write: func(w io.Writer) error { return metrics.WritePowerCSV(w, tr) }}
+}
+
+// powerTraceSVG charts the runs' power draw over the longest makespan,
+// with the cap as a reference line when capW > 0.
+func powerTraceSVG(name, title string, capW float64, names []string, runs ...*metrics.WorkloadResult) Artifact {
+	var end sim.Time
+	var traces []*metrics.PowerTrace
+	for _, r := range runs {
+		end = max(end, r.Makespan)
+		traces = append(traces, r.Power)
+	}
+	return Artifact{Name: name, Write: func(w io.Writer) error {
+		return metrics.WritePowerSVG(w, title, end, capW, names, palette[:len(names)], traces)
+	}}
 }

@@ -48,7 +48,7 @@ func TestEnergyExperimentShape(t *testing.T) {
 	if !sawSleep {
 		t.Fatal("rigid run never dropped below the all-idle power floor; sleep never engaged")
 	}
-	if out := FormatEnergy(rows); !strings.Contains(out, "again%") {
+	if out := energyTables(rows); !strings.Contains(out, "again%") {
 		t.Fatal("format broken")
 	}
 }

@@ -35,7 +35,7 @@ func TestFig1ShapeHolds(t *testing.T) {
 	if f48 <= f12 {
 		t.Fatalf("factor ordering: 48-48 (%.1fx) should exceed 48-12 (%.1fx)", f48, f12)
 	}
-	out := FormatFig1(rows)
+	out := Fig1Table(rows).Text()
 	if !strings.Contains(out, "spawn factor") {
 		t.Fatal("formatting lost the factors")
 	}
@@ -66,7 +66,7 @@ func TestFig8MoreFlexibleIsFaster(t *testing.T) {
 	if allFlex > allFixed {
 		t.Fatalf("100%% flexible (%v) slower than 0%% (%v)", allFlex, allFixed)
 	}
-	if out := FormatFig8(rs); !strings.Contains(out, "100% flexible") {
+	if out := fig8Table(rs).Text(); !strings.Contains(out, "100% flexible") {
 		t.Fatal("format broken")
 	}
 }
@@ -81,7 +81,7 @@ func TestFig9InhibitorReducesOverhead(t *testing.T) {
 	if cells[1].Flex.Makespan > cells[0].Flex.Makespan*2 {
 		t.Fatalf("inhibitor run blew up: %v vs %v", cells[1].Flex.Makespan, cells[0].Flex.Makespan)
 	}
-	if out := FormatFig9(cells); !strings.Contains(out, "Sched 5") {
+	if out := fig9Table(cells).Text(); !strings.Contains(out, "Sched 5") {
 		t.Fatal("format broken")
 	}
 }
@@ -105,9 +105,14 @@ func TestRealisticSmallShape(t *testing.T) {
 		t.Fatalf("utilization rate should drop: %.2f vs %.2f",
 			c.Flexible.UtilRate, c.Fixed.UtilRate)
 	}
-	for _, f := range []func([]Comparison) string{FormatFig10, FormatFig11, FormatTable2} {
-		if len(f(cs)) == 0 {
-			t.Fatal("formatting empty")
+	var out strings.Builder
+	for _, p := range realisticReport(cs).Parts {
+		out.WriteString(p.Text)
+	}
+	for _, want := range []string{"Figure 10: workload execution times", "Figure 11: average job waiting time",
+		"20 jobs: fixed", "Avg. job completion time"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("realistic report lost %q:\n%s", want, out.String())
 		}
 	}
 }
@@ -208,7 +213,7 @@ func TestMoldableAblationRuns(t *testing.T) {
 	if rows[2].Result.Makespan > rows[0].Result.Makespan*2 {
 		t.Fatal("moldable run pathological")
 	}
-	if out := FormatAblation("moldable", rows); !strings.Contains(out, "flexible+moldable") {
+	if out := ablationTable("moldable", rows).Text(); !strings.Contains(out, "flexible+moldable") {
 		t.Fatal("format broken")
 	}
 }
@@ -269,7 +274,7 @@ func TestIntraNodeTaskingAmdahl(t *testing.T) {
 	if rows[2].Speedup > 12 {
 		t.Fatalf("16-core speedup %v suspiciously near linear", rows[2].Speedup)
 	}
-	if out := FormatIntraNode(rows); !strings.Contains(out, "cores") {
+	if out := IntraNodeTable(rows).Text(); !strings.Contains(out, "cores") {
 		t.Fatal("format broken")
 	}
 }

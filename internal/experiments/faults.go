@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"repro/internal/core"
@@ -72,7 +71,7 @@ type FaultRow struct {
 func faultConfig(mtbf sim.Time, ckptEvery int, seed int64) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Energy = true
-	cfg.IdleSleep = DefaultIdleSleep
+	cfg.SleepLadder = idleSleep()
 	cfg.Faults = &faults.Config{
 		MTBF:    mtbf,
 		MTTR:    FaultMTTR,
@@ -112,41 +111,45 @@ func Faults(jobs int, mtbfs []sim.Time, seed int64) []FaultRow {
 	return rows
 }
 
-// FormatFaults renders the study: per MTBF, the three regimes' makespan,
-// energy, and what the failure schedule cost each of them.
-func FormatFaults(rows []FaultRow) string {
+// faultsText renders the study: per MTBF, the three regimes' makespan,
+// energy, and what the failure schedule cost each of them. A blank
+// first column indents each table under its heading.
+func faultsText(rows []FaultRow) string {
 	var b strings.Builder
 	b.WriteString("Faults: rigid restart vs rigid+checkpoint vs malleable shrink-to-survive (same injected failure schedule)\n")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "MTBF %.0f s/node, %d jobs:\n", r.MTBF.Seconds(), r.Jobs)
-		fmt.Fprintf(&b, "  %-12s %10s %12s %9s %9s %9s %12s\n",
-			"regime", "mkspan(s)", "energy(kJ)", "failures", "requeues", "shrinks", "lostwork(s)")
+		t := &Table{Title: fmt.Sprintf("MTBF %.0f s/node, %d jobs:", r.MTBF.Seconds(), r.Jobs), Cols: []Col{
+			{"", 1}, {"regime", -12}, {"mkspan(s)", 10}, {"energy(kJ)", 12}, {"failures", 9}, {"requeues", 9},
+			{"shrinks", 9}, {"lostwork(s)", 12},
+		}}
 		for _, run := range r.Runs {
-			fmt.Fprintf(&b, "  %-12s %10.0f %12.0f %9d %9d %9d %12.1f\n",
-				run.Regime, run.Res.Makespan.Seconds(), run.Res.EnergyJ/1e3,
-				run.Stats.Failures, run.Stats.Requeues, run.Stats.Shrinks,
-				run.Stats.LostWorkS)
+			t.Row("", run.Regime, num(run.Res.Makespan.Seconds(), 0), num(run.Res.EnergyJ/1e3, 0),
+				fmt.Sprint(run.Stats.Failures), fmt.Sprint(run.Stats.Requeues), fmt.Sprint(run.Stats.Shrinks),
+				num(run.Stats.LostWorkS, 1))
 		}
+		b.WriteString(t.Text())
 	}
 	return b.String()
 }
 
-// WriteFaultsSummaryCSV writes the study as one CSV row per regime per
-// MTBF — the golden-pinned artifact of the -exp faults command.
-func WriteFaultsSummaryCSV(w io.Writer, rows []FaultRow) error {
-	if _, err := fmt.Fprintln(w, "mtbf_s,jobs,regime,makespan_s,energy_j,failures,requeues,shrinks,boot_fails,lost_work_s"); err != nil {
-		return err
-	}
+// faultsSummary is the study as one CSV row per regime per MTBF — the
+// golden-pinned artifact of the -exp faults command.
+func faultsSummary(rows []FaultRow) *Table {
+	t := csvTable("mtbf_s,jobs,regime,makespan_s,energy_j,failures,requeues,shrinks,boot_fails,lost_work_s")
 	for _, r := range rows {
 		for _, run := range r.Runs {
-			if _, err := fmt.Fprintf(w, "%.0f,%d,%s,%.3f,%.1f,%d,%d,%d,%d,%.1f\n",
-				r.MTBF.Seconds(), r.Jobs, run.Regime,
-				run.Res.Makespan.Seconds(), run.Res.EnergyJ,
-				run.Stats.Failures, run.Stats.Requeues, run.Stats.Shrinks,
-				run.Stats.BootFails, run.Stats.LostWorkS); err != nil {
-				return err
-			}
+			t.Row(num(r.MTBF.Seconds(), 0), fmt.Sprint(r.Jobs), run.Regime,
+				num(run.Res.Makespan.Seconds(), 3), num(run.Res.EnergyJ, 1),
+				fmt.Sprint(run.Stats.Failures), fmt.Sprint(run.Stats.Requeues), fmt.Sprint(run.Stats.Shrinks),
+				fmt.Sprint(run.Stats.BootFails), num(run.Stats.LostWorkS, 1))
 		}
 	}
-	return nil
+	return t
+}
+
+// faultsReport is the study's text with its summary CSV.
+func faultsReport(rows []FaultRow) Report {
+	rep := textReport(faultsText(rows))
+	rep.Add(Artifact{Name: "faults_summary.csv", Write: faultsSummary(rows).WriteCSV})
+	return rep
 }

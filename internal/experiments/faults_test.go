@@ -22,7 +22,7 @@ func faultStudy() []FaultRow {
 // byte (regenerate with -update).
 func TestFaultsCSVGolden(t *testing.T) {
 	var b strings.Builder
-	if err := WriteFaultsSummaryCSV(&b, faultStudy()); err != nil {
+	if err := faultsSummary(faultStudy()).WriteCSV(&b); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "faults_summary.csv", []byte(b.String()))
@@ -63,7 +63,7 @@ func TestFaultsMalleableBeatsRigidRestart(t *testing.T) {
 		}
 	}
 	if t.Failed() {
-		t.Logf("study:\n%s", FormatFaults(rows))
+		t.Logf("study:\n%s", faultsText(rows))
 	}
 }
 

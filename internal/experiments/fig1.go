@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/checkpoint"
 	"repro/internal/mpi"
@@ -165,12 +164,13 @@ func runFig1CR(from, to int) Fig1Row {
 		Initial: fig1Init, Spawning: tReady - t0, Resized: fig1Resized}
 }
 
-// FormatFig1 renders the comparison with the spawning-cost factors the
-// paper annotates (C/R spawning over DMR spawning).
-func FormatFig1(rows []Fig1Row) string {
-	var b strings.Builder
-	b.WriteString("Figure 1: non-solving stages of the N-body simulation (48 → target)\n")
-	b.WriteString("mech  resize   initial(s)  spawning(s)  resized(s)   total(s)\n")
+// Fig1Table is the comparison with the spawning-cost factors the paper
+// annotates (C/R spawning over DMR spawning).
+func Fig1Table(rows []Fig1Row) *Table {
+	t := &Table{Title: "Figure 1: non-solving stages of the N-body simulation (48 → target)", Cols: []Col{
+		{"mech", -5}, {"resize", -5}, {"initial(s)", 12}, {"spawning(s)", 12},
+		{"resized(s)", 11}, {"total(s)", 10}, {"", 0},
+	}}
 	dmr := map[int]Fig1Row{}
 	for _, r := range rows {
 		if r.Mechanism == "DMR" {
@@ -178,15 +178,12 @@ func FormatFig1(rows []Fig1Row) string {
 		}
 	}
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-5s %2d-%-2d %12.2f %12.2f %11.2f %10.2f",
-			r.Mechanism, r.From, r.To, r.Initial.Seconds(), r.Spawning.Seconds(),
-			r.Resized.Seconds(), r.Total().Seconds())
-		if r.Mechanism == "C/R" {
-			if d, ok := dmr[r.To]; ok && d.Spawning > 0 {
-				fmt.Fprintf(&b, "   spawn factor %.2fx", float64(r.Spawning)/float64(d.Spawning))
-			}
+		factor := ""
+		if d, ok := dmr[r.To]; ok && r.Mechanism == "C/R" && d.Spawning > 0 {
+			factor = fmt.Sprintf("  spawn factor %.2fx", float64(r.Spawning)/float64(d.Spawning))
 		}
-		b.WriteString("\n")
+		t.Row(r.Mechanism, fmt.Sprintf("%2d-%-2d", r.From, r.To), num(r.Initial.Seconds(), 2),
+			num(r.Spawning.Seconds(), 2), num(r.Resized.Seconds(), 2), num(r.Total().Seconds(), 2), factor)
 	}
-	return b.String()
+	return t
 }

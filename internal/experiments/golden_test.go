@@ -61,7 +61,7 @@ func TestEnergyCSVGolden(t *testing.T) {
 	} {
 		checkGolden(t, "energy_20j_"+suffix+"_power.csv", powerCSV(t, res.Power))
 	}
-	checkGolden(t, "energy_20j_table.txt", []byte(FormatEnergy(rows)))
+	checkGolden(t, "energy_20j_table.txt", []byte(energyTables(rows)))
 }
 
 // TestPowerCapCSVGolden pins the -exp powercap CSV output the same way,
@@ -79,5 +79,5 @@ func TestPowerCapCSVGolden(t *testing.T) {
 		checkGolden(t, name+"_rigid_power.csv", powerCSV(t, r.Rigid.Res.Power))
 		checkGolden(t, name+"_malleable_power.csv", powerCSV(t, r.Malleable.Res.Power))
 	}
-	checkGolden(t, "powercap_20j_table.txt", []byte(FormatPowerCap(rows)))
+	checkGolden(t, "powercap_20j_table.txt", []byte(powerCapTable(rows).Text()))
 }

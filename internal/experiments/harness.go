@@ -7,7 +7,7 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
+	"io"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -18,6 +18,13 @@ import (
 // DefaultSeed keeps every experiment deterministic ("a fixed seed",
 // §IX-A).
 const DefaultSeed = 20170814 // ICPP 2017 began August 14
+
+// palette colors a chart's series in order: blue, red, green.
+var palette = []string{"#1f77b4", "#d62728", "#2ca02c"}
+
+// regimeNames labels the rigid, malleable and class-aware runs of the
+// mixed-fleet and thermal studies, in report order.
+var regimeNames = []string{"rigid", "malleable", "classaware"}
 
 // Comparison is one fixed-vs-flexible workload pair.
 type Comparison struct {
@@ -62,19 +69,50 @@ func realisticConfig() core.Config {
 	return core.DefaultConfig()
 }
 
-// FormatComparisons renders a gain table like the bar labels of
-// Figures 3, 7 and 10.
-func FormatComparisons(title string, cs []Comparison) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "%8s %14s %14s %8s %10s %10s %8s\n",
-		"jobs", "fixed(s)", "flexible(s)", "gain%", "waitF(s)", "waitX(s)", "wgain%")
+// comparisonTable is the gain table behind the bar labels of Figures
+// 3, 7 and 10.
+func comparisonTable(title string, cs []Comparison) *Table {
+	t := &Table{Title: title, Cols: []Col{
+		{"jobs", 8}, {"fixed(s)", 14}, {"flexible(s)", 14}, {"gain%", 8},
+		{"waitF(s)", 10}, {"waitX(s)", 10}, {"wgain%", 8},
+	}}
 	for _, c := range cs {
-		fmt.Fprintf(&b, "%8d %14.0f %14.0f %8.2f %10.0f %10.0f %8.2f\n",
-			c.Jobs, c.Fixed.Makespan.Seconds(), c.Flexible.Makespan.Seconds(), c.MakespanGain(),
-			c.Fixed.AvgWait.Seconds(), c.Flexible.AvgWait.Seconds(), c.WaitGain())
+		t.Row(fmt.Sprint(c.Jobs), num(c.Fixed.Makespan.Seconds(), 0), num(c.Flexible.Makespan.Seconds(), 0),
+			num(c.MakespanGain(), 2), num(c.Fixed.AvgWait.Seconds(), 0), num(c.Flexible.AvgWait.Seconds(), 0),
+			num(c.WaitGain(), 2))
 	}
-	return b.String()
+	return t
+}
+
+// comparisonReport is a fixed-vs-flexible study's gain table with its
+// bar chart.
+func comparisonReport(name, title, svgTitle string, cs []Comparison) Report {
+	var rep Report
+	rep.Print(comparisonTable(title, cs).Text())
+	rep.Add(comparisonSVG(name, svgTitle, cs, false))
+	rep.Print("\n")
+	return rep
+}
+
+// comparisonSVG charts fixed vs flexible bars per workload size; waits
+// selects the waiting-time series instead of makespans.
+func comparisonSVG(name, title string, cs []Comparison, waits bool) Artifact {
+	var groups []metrics.BarGroup
+	for _, c := range cs {
+		fix, flex := c.Fixed.Makespan.Seconds(), c.Flexible.Makespan.Seconds()
+		if waits {
+			fix, flex = c.Fixed.AvgWait.Seconds(), c.Flexible.AvgWait.Seconds()
+		}
+		groups = append(groups, metrics.BarGroup{Label: fmt.Sprintf("%d jobs", c.Jobs), Values: []float64{fix, flex}})
+	}
+	yLabel := "execution time (s)"
+	if waits {
+		yLabel = "avg waiting time (s)"
+	}
+	return Artifact{Name: name + ".svg", Write: func(w io.Writer) error {
+		return metrics.WriteBarsSVG(w, title, yLabel,
+			[]string{"fixed", "flexible"}, palette[:2], groups)
+	}}
 }
 
 // secondsCell formats a duration in whole seconds for tables.

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/ompss"
 	"repro/internal/sim"
@@ -64,13 +63,13 @@ func IntraNode(coreCounts []int, blocks int, blockTime sim.Time) []IntraNodeRow 
 	return rows
 }
 
-// FormatIntraNode renders the study.
-func FormatIntraNode(rows []IntraNodeRow) string {
-	var b strings.Builder
-	b.WriteString("Intra-node OmpSs tasking: CG-style iteration task graph\n")
-	b.WriteString("cores   makespan(ms)   speedup\n")
+// IntraNodeTable is the study's speedup table.
+func IntraNodeTable(rows []IntraNodeRow) *Table {
+	t := &Table{Title: "Intra-node OmpSs tasking: CG-style iteration task graph", Cols: []Col{
+		{"cores", 5}, {"makespan(ms)", 14}, {"speedup", 9},
+	}}
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%5d %14.2f %9.2f\n", r.Cores, r.Makespan.Seconds()*1000, r.Speedup)
+		t.Row(fmt.Sprint(r.Cores), num(r.Makespan.Seconds()*1000, 2), num(r.Speedup, 2))
 	}
-	return b.String()
+	return t
 }

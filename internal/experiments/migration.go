@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"repro/internal/core"
@@ -116,47 +115,45 @@ func Migration(jobs int, patterns []string, seed int64) ([]MigrationRow, error) 
 	return rows, nil
 }
 
-// FormatMigration renders the study as a table: one off and one on row
-// per arrival shape.
-func FormatMigration(rows []MigrationRow) string {
+// migrationText renders the study: one off and one on row per arrival
+// shape. A blank first column indents each table under its heading.
+func migrationText(rows []MigrationRow) string {
 	var b strings.Builder
 	b.WriteString("Live migration: class-blind mixed fleet with sleep ladder, migration pass off vs on (same seeded workload, rigid jobs)\n")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%s arrivals, %d jobs, fleet %d:%d:\n",
-			r.Pattern, r.Jobs, r.FastNodes, r.SlowNodes)
-		fmt.Fprintf(&b, "  %-10s %12s %8s %10s %12s %8s %8s %10s\n",
-			"regime", "energy(kJ)", "gain%", "mkspan(s)", "avgwait(s)", "orders", "moves", "cost(s)")
-		fmt.Fprintf(&b, "  %-10s %12.0f %8s %10.0f %12.0f %8s %8s %10s\n",
-			"off", r.Off.Res.EnergyJ/1e3, "-",
-			r.Off.Res.Makespan.Seconds(), r.Off.Res.AvgWait.Seconds(), "-", "-", "-")
-		fmt.Fprintf(&b, "  %-10s %12.0f %8.2f %10.0f %12.0f %8d %8d %10.1f\n",
-			"migrate", r.On.Res.EnergyJ/1e3, r.EnergyGainPct(),
-			r.On.Res.Makespan.Seconds(), r.On.Res.AvgWait.Seconds(),
-			r.On.Stats.Orders, r.On.Stats.Migrations, r.On.Stats.MigratedS)
+		t := &Table{Title: fmt.Sprintf("%s arrivals, %d jobs, fleet %d:%d:", r.Pattern, r.Jobs, r.FastNodes, r.SlowNodes), Cols: []Col{
+			{"", 1}, {"regime", -10}, {"energy(kJ)", 12}, {"gain%", 8}, {"mkspan(s)", 10}, {"avgwait(s)", 12},
+			{"orders", 8}, {"moves", 8}, {"cost(s)", 10},
+		}}
+		t.Row("", "off", num(r.Off.Res.EnergyJ/1e3, 0), "-", num(r.Off.Res.Makespan.Seconds(), 0),
+			num(r.Off.Res.AvgWait.Seconds(), 0), "-", "-", "-")
+		t.Row("", "migrate", num(r.On.Res.EnergyJ/1e3, 0), num(r.EnergyGainPct(), 2), num(r.On.Res.Makespan.Seconds(), 0),
+			num(r.On.Res.AvgWait.Seconds(), 0), fmt.Sprint(r.On.Stats.Orders), fmt.Sprint(r.On.Stats.Migrations),
+			num(r.On.Stats.MigratedS, 1))
+		b.WriteString(t.Text())
 	}
 	return b.String()
 }
 
-// WriteMigrationSummaryCSV writes the study as one CSV row per regime —
-// the golden-pinned artifact of the -exp migration command.
-func WriteMigrationSummaryCSV(w io.Writer, rows []MigrationRow) error {
-	if _, err := fmt.Fprintln(w, "pattern,jobs,fast_nodes,slow_nodes,regime,energy_j,makespan_s,avg_wait_s,p95_wait_s,orders,migrations,migrated_s"); err != nil {
-		return err
-	}
+// migrationSummary is the study as one CSV row per regime — the
+// golden-pinned artifact of the -exp migration command.
+func migrationSummary(rows []MigrationRow) *Table {
+	t := csvTable("pattern,jobs,fast_nodes,slow_nodes,regime,energy_j,makespan_s,avg_wait_s,p95_wait_s,orders,migrations,migrated_s")
 	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "%s,%d,%d,%d,off,%.1f,%.3f,%.3f,%.3f,,,\n",
-			r.Pattern, r.Jobs, r.FastNodes, r.SlowNodes,
-			r.Off.Res.EnergyJ, r.Off.Res.Makespan.Seconds(),
-			r.Off.Res.AvgWait.Seconds(), r.Off.Res.P95Wait.Seconds()); err != nil {
-			return err
+		row := func(regime string, run MigrationRun, orders, migrations, migratedS string) {
+			t.Row(r.Pattern, fmt.Sprint(r.Jobs), fmt.Sprint(r.FastNodes), fmt.Sprint(r.SlowNodes), regime,
+				num(run.Res.EnergyJ, 1), num(run.Res.Makespan.Seconds(), 3),
+				num(run.Res.AvgWait.Seconds(), 3), num(run.Res.P95Wait.Seconds(), 3), orders, migrations, migratedS)
 		}
-		if _, err := fmt.Fprintf(w, "%s,%d,%d,%d,migrate,%.1f,%.3f,%.3f,%.3f,%d,%d,%.1f\n",
-			r.Pattern, r.Jobs, r.FastNodes, r.SlowNodes,
-			r.On.Res.EnergyJ, r.On.Res.Makespan.Seconds(),
-			r.On.Res.AvgWait.Seconds(), r.On.Res.P95Wait.Seconds(),
-			r.On.Stats.Orders, r.On.Stats.Migrations, r.On.Stats.MigratedS); err != nil {
-			return err
-		}
+		row("off", r.Off, "", "", "")
+		row("migrate", r.On, fmt.Sprint(r.On.Stats.Orders), fmt.Sprint(r.On.Stats.Migrations), num(r.On.Stats.MigratedS, 1))
 	}
-	return nil
+	return t
+}
+
+// migrationReport is the study's text with its summary CSV.
+func migrationReport(rows []MigrationRow) Report {
+	rep := textReport(migrationText(rows))
+	rep.Add(Artifact{Name: "migration_summary.csv", Write: migrationSummary(rows).WriteCSV})
+	return rep
 }

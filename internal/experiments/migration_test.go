@@ -28,7 +28,7 @@ func migrationStudy(t *testing.T) []MigrationRow {
 func TestMigrationGolden(t *testing.T) {
 	rows := migrationStudy(t)
 	var b strings.Builder
-	if err := WriteMigrationSummaryCSV(&b, rows); err != nil {
+	if err := migrationSummary(rows).WriteCSV(&b); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "migration_summary.csv", []byte(b.String()))
@@ -64,6 +64,6 @@ func TestMigrationPassPaysForItself(t *testing.T) {
 	}
 	if !won {
 		t.Fatalf("migration pass must save energy at <=2%% makespan cost on at least one shape:\n%s",
-			FormatMigration(rows))
+			migrationText(rows))
 	}
 }

@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
+	"io"
 
 	"repro/internal/core"
 	"repro/internal/energy"
@@ -139,31 +139,69 @@ func MixedFleet(jobs int, fastShares []float64, seed int64) []MixedFleetRow {
 	return out
 }
 
-// FormatMixedFleet renders the sweep: per fleet ratio, makespan, energy
-// and slow-class stretch for each regime, with class-aware gains over
-// class-blind malleable.
-func FormatMixedFleet(rows []MixedFleetRow) string {
-	var b strings.Builder
-	b.WriteString("Mixed fleet: class-blind rigid/malleable vs class-aware placement (same seeded workload)\n")
-	fmt.Fprintf(&b, "%9s %10s %10s %10s %8s %10s %10s %10s %8s %9s %9s %9s\n",
-		"fast:slow", "rigMk(s)", "malMk(s)", "clsMk(s)", "mkGain%",
-		"rig(kJ)", "mal(kJ)", "cls(kJ)", "enGain%",
-		"rigStr", "malStr", "clsStr")
+// mixedFleetTables is the sweep's text: per fleet ratio, makespan,
+// energy and slow-class stretch for each regime, with class-aware gains
+// over class-blind malleable, then each regime's slow-class exposure.
+func mixedFleetTables(rows []MixedFleetRow) string {
+	gains := &Table{Title: "Mixed fleet: class-blind rigid/malleable vs class-aware placement (same seeded workload)", Cols: []Col{
+		{"fast:slow", 9}, {"rigMk(s)", 10}, {"malMk(s)", 10}, {"clsMk(s)", 10}, {"mkGain%", 8},
+		{"rig(kJ)", 10}, {"mal(kJ)", 10}, {"cls(kJ)", 10}, {"enGain%", 8},
+		{"rigStr", 9}, {"malStr", 9}, {"clsStr", 9},
+	}}
+	exposure := &Table{Title: "slow-class exposure (jobs that ever held an efficiency-class node):", Cols: []Col{
+		{"fast:slow", 9}, {"rigid", 8}, {"mall", 8}, {"aware", 8},
+	}}
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%9s %10.0f %10.0f %10.0f %8.2f %10.0f %10.0f %10.0f %8.2f %9.2f %9.2f %9.2f\n",
-			fmt.Sprintf("%d:%d", r.FastNodes, r.SlowNodes),
-			r.Rigid.Res.Makespan.Seconds(), r.Malleable.Res.Makespan.Seconds(),
-			r.ClassAware.Res.Makespan.Seconds(), r.MakespanGainPct(),
-			r.Rigid.Res.EnergyJ/1e3, r.Malleable.Res.EnergyJ/1e3,
-			r.ClassAware.Res.EnergyJ/1e3, r.EnergyGainPct(),
-			r.Rigid.SlowStretch, r.Malleable.SlowStretch, r.ClassAware.SlowStretch)
+		ratio := fmt.Sprintf("%d:%d", r.FastNodes, r.SlowNodes)
+		gains.Row(ratio,
+			num(r.Rigid.Res.Makespan.Seconds(), 0), num(r.Malleable.Res.Makespan.Seconds(), 0),
+			num(r.ClassAware.Res.Makespan.Seconds(), 0), num(r.MakespanGainPct(), 2),
+			num(r.Rigid.Res.EnergyJ/1e3, 0), num(r.Malleable.Res.EnergyJ/1e3, 0),
+			num(r.ClassAware.Res.EnergyJ/1e3, 0), num(r.EnergyGainPct(), 2),
+			num(r.Rigid.SlowStretch, 2), num(r.Malleable.SlowStretch, 2), num(r.ClassAware.SlowStretch, 2))
+		exposure.Row(ratio, fmt.Sprint(r.Rigid.SlowTouched), fmt.Sprint(r.Malleable.SlowTouched), fmt.Sprint(r.ClassAware.SlowTouched))
 	}
-	b.WriteString("slow-class exposure (jobs that ever held an efficiency-class node):\n")
-	fmt.Fprintf(&b, "%9s %8s %8s %8s\n", "fast:slow", "rigid", "mall", "aware")
+	return gains.Text() + exposure.Text()
+}
+
+// mixedFleetReport is the sweep's tables with a summary CSV (one row per
+// fleet ratio and regime), per-ratio power traces, makespan and energy
+// bar charts, and a power-draw SVG per ratio.
+func mixedFleetReport(rows []MixedFleetRow) Report {
+	rep := textReport(mixedFleetTables(rows))
+	summary := csvTable("fast_nodes,slow_nodes,regime,makespan_s,energy_j,fast_class_j,slow_class_j,slow_stretch,slow_touched_jobs,resizes")
+	// Artifacts are written after Run returns: the loop below fills the
+	// summary before anything renders it.
+	rep.Add(Artifact{Name: "mixedfleet_summary.csv", Write: summary.WriteCSV})
+	names := []string{"rigid", "malleable", "class-aware"}
+	var mkGroups, enGroups []metrics.BarGroup
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%9s %8d %8d %8d\n",
-			fmt.Sprintf("%d:%d", r.FastNodes, r.SlowNodes),
-			r.Rigid.SlowTouched, r.Malleable.SlowTouched, r.ClassAware.SlowTouched)
+		for i, run := range []MixedFleetRun{r.Rigid, r.Malleable, r.ClassAware} {
+			summary.Row(fmt.Sprint(r.FastNodes), fmt.Sprint(r.SlowNodes), regimeNames[i],
+				num(run.Res.Makespan.Seconds(), 3), num(run.Res.EnergyJ, 1),
+				num(run.FastJ, 1), num(run.SlowJ, 1), num(run.SlowStretch, 4),
+				fmt.Sprint(run.SlowTouched), fmt.Sprint(run.Res.Resizes))
+			rep.Add(powerTraceCSV(
+				fmt.Sprintf("mixedfleet_%df%ds_%s_power.csv", r.FastNodes, r.SlowNodes, regimeNames[i]), run.Res.Power))
+		}
+		label := fmt.Sprintf("%d:%d", r.FastNodes, r.SlowNodes)
+		mkGroups = append(mkGroups, metrics.BarGroup{Label: label, Values: []float64{
+			r.Rigid.Res.Makespan.Seconds(), r.Malleable.Res.Makespan.Seconds(), r.ClassAware.Res.Makespan.Seconds(),
+		}})
+		enGroups = append(enGroups, metrics.BarGroup{Label: label, Values: []float64{
+			r.Rigid.Res.EnergyJ / 1e3, r.Malleable.Res.EnergyJ / 1e3, r.ClassAware.Res.EnergyJ / 1e3,
+		}})
 	}
-	return b.String()
+	rep.Add(Artifact{Name: "mixedfleet_makespan.svg", Write: func(w io.Writer) error {
+		return metrics.WriteBarsSVG(w, "Mixed fleet: makespan by fast:slow ratio", "makespan (s)", names, palette, mkGroups)
+	}})
+	rep.Add(Artifact{Name: "mixedfleet_energy.svg", Write: func(w io.Writer) error {
+		return metrics.WriteBarsSVG(w, "Mixed fleet: energy by fast:slow ratio", "energy (kJ)", names, palette, enGroups)
+	}})
+	for _, r := range rows {
+		rep.Add(powerTraceSVG(fmt.Sprintf("mixedfleet_%df%ds_power.svg", r.FastNodes, r.SlowNodes),
+			fmt.Sprintf("Cluster power draw (%d fast : %d efficiency)", r.FastNodes, r.SlowNodes), 0,
+			names, r.Rigid.Res, r.Malleable.Res, r.ClassAware.Res))
+	}
+	return rep
 }

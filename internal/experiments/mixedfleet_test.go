@@ -59,10 +59,10 @@ func TestMixedFleetSweepShape(t *testing.T) {
 			t.Errorf("no job ever touched the efficiency class at %d:%d", r.FastNodes, r.SlowNodes)
 		}
 	}
-	out := FormatMixedFleet(rows)
+	out := mixedFleetTables(rows)
 	for _, want := range []string{"fast:slow", "mkGain", "enGain", "slow-class exposure"} {
 		if !strings.Contains(out, want) {
-			t.Errorf("FormatMixedFleet output missing %q", want)
+			t.Errorf("mixed-fleet tables missing %q", want)
 		}
 	}
 }

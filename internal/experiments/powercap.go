@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -72,26 +71,47 @@ func PowerCap(jobs int, caps []float64, seed int64) []PowerCapRow {
 	return out
 }
 
-// FormatPowerCap renders the sweep: per cap level, makespan, energy,
-// observed peak draw and total throttled job-seconds for both regimes.
-func FormatPowerCap(rows []PowerCapRow) string {
-	var b strings.Builder
-	b.WriteString("Power capping: cap level vs makespan/energy, rigid vs malleable (same seeded workload)\n")
-	fmt.Fprintf(&b, "%9s %11s %11s %10s %10s %11s %11s %10s %10s %11s %11s\n",
-		"cap(W)", "rigidMk(s)", "mallMk(s)", "rigid(kJ)", "mall(kJ)",
-		"rigidPk(W)", "mallPk(W)", "rigThr(s)", "malThr(s)", "rigid(W)", "mall(W)")
+// powerCapTable is the sweep: per cap level, makespan, energy, observed
+// peak draw and total throttled job-seconds for both regimes.
+func powerCapTable(rows []PowerCapRow) *Table {
+	t := &Table{Title: "Power capping: cap level vs makespan/energy, rigid vs malleable (same seeded workload)", Cols: []Col{
+		{"cap(W)", 9}, {"rigidMk(s)", 11}, {"mallMk(s)", 11}, {"rigid(kJ)", 10}, {"mall(kJ)", 10},
+		{"rigidPk(W)", 11}, {"mallPk(W)", 11}, {"rigThr(s)", 10}, {"malThr(s)", 10}, {"rigid(W)", 11}, {"mall(W)", 11},
+	}}
 	for _, r := range rows {
 		cap := "none"
 		if r.CapW > 0 {
-			cap = fmt.Sprintf("%.0f", r.CapW)
+			cap = num(r.CapW, 0)
 		}
-		fmt.Fprintf(&b, "%9s %11.0f %11.0f %10.0f %10.0f %11.0f %11.0f %10.0f %10.0f %11.0f %11.0f\n",
-			cap,
-			r.Rigid.Res.Makespan.Seconds(), r.Malleable.Res.Makespan.Seconds(),
-			r.Rigid.Res.EnergyJ/1e3, r.Malleable.Res.EnergyJ/1e3,
-			r.Rigid.PeakW, r.Malleable.PeakW,
-			r.Rigid.ThrottledS, r.Malleable.ThrottledS,
-			r.Rigid.Res.AvgPowerW, r.Malleable.Res.AvgPowerW)
+		t.Row(cap, num(r.Rigid.Res.Makespan.Seconds(), 0), num(r.Malleable.Res.Makespan.Seconds(), 0),
+			num(r.Rigid.Res.EnergyJ/1e3, 0), num(r.Malleable.Res.EnergyJ/1e3, 0),
+			num(r.Rigid.PeakW, 0), num(r.Malleable.PeakW, 0),
+			num(r.Rigid.ThrottledS, 0), num(r.Malleable.ThrottledS, 0),
+			num(r.Rigid.Res.AvgPowerW, 0), num(r.Malleable.Res.AvgPowerW, 0))
 	}
-	return b.String()
+	return t
+}
+
+// powerCapReport is the sweep's table with each level's power traces
+// (CSV, and one SVG with the cap drawn as a reference line).
+func powerCapReport(rows []PowerCapRow) Report {
+	rep := textReport(powerCapTable(rows).Text())
+	prefix := func(r PowerCapRow) string {
+		if r.CapW > 0 {
+			return fmt.Sprintf("powercap_%.0fw", r.CapW)
+		}
+		return "powercap_none"
+	}
+	for _, r := range rows {
+		rep.Add(powerTraceCSV(prefix(r)+"_rigid_power.csv", r.Rigid.Res.Power))
+		rep.Add(powerTraceCSV(prefix(r)+"_malleable_power.csv", r.Malleable.Res.Power))
+	}
+	for _, r := range rows {
+		title := "Cluster power draw (uncapped)"
+		if r.CapW > 0 {
+			title = fmt.Sprintf("Cluster power draw (cap %.0f W)", r.CapW)
+		}
+		rep.Add(powerTraceSVG(prefix(r)+"_power.svg", title, r.CapW, []string{"rigid", "malleable"}, r.Rigid.Res, r.Malleable.Res))
+	}
+	return rep
 }

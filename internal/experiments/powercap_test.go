@@ -43,7 +43,7 @@ func TestPowerCapSweepShape(t *testing.T) {
 		t.Fatalf("capped rigid makespan %v beats uncapped %v",
 			capped.Rigid.Res.Makespan, uncapped.Rigid.Res.Makespan)
 	}
-	if out := FormatPowerCap(rows); !strings.Contains(out, "malThr(s)") {
+	if out := powerCapTable(rows).Text(); !strings.Contains(out, "malThr(s)") {
 		t.Fatal("format broken")
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"strings"
 
 	"repro/internal/core"
@@ -91,16 +92,15 @@ func Fig8(jobs int, seed int64) []RatioResult {
 	return out
 }
 
-// FormatFig8 renders the ratio sweep.
-func FormatFig8(rs []RatioResult) string {
-	var b strings.Builder
-	b.WriteString("Figure 8: execution time vs rate of flexible jobs\n")
+// fig8Table is the ratio sweep, one sentence per flexible share.
+func fig8Table(rs []RatioResult) *Table {
+	t := &Table{Title: "Figure 8: execution time vs rate of flexible jobs", Cols: []Col{{"", 15}, {"", 8}, {"", 0}}}
 	base := rs[0].Result.Makespan.Seconds()
 	for _, r := range rs {
-		fmt.Fprintf(&b, "%4d%% flexible: %8.0f s (gain %+.2f%%)\n",
-			r.RatioPct, r.Result.Makespan.Seconds(), metrics.GainPct(base, r.Result.Makespan.Seconds()))
+		t.Row(fmt.Sprintf("%d%% flexible:", r.RatioPct), num(r.Result.Makespan.Seconds(), 0),
+			fmt.Sprintf("s (gain %+.2f%%)", metrics.GainPct(base, r.Result.Makespan.Seconds())))
 	}
-	return b.String()
+	return t
 }
 
 // Fig9Periods are the checking-inhibitor periods of Figure 9; -1 encodes
@@ -147,44 +147,81 @@ func Fig9(sizes []int, periods []sim.Time, seed int64) []Fig9Cell {
 	return out
 }
 
-// FormatFig9 renders the inhibitor grid with gains per workload size.
-func FormatFig9(cells []Fig9Cell) string {
-	var b strings.Builder
-	b.WriteString("Figure 9: gain vs fixed for inhibitor periods (rows) and workload sizes (columns)\n")
+// fig9Table is the inhibitor grid: one row per period, one gain column
+// per workload size.
+func fig9Table(cells []Fig9Cell) *Table {
 	byPeriod := map[sim.Time]map[int]Fig9Cell{}
 	var periods []sim.Time
 	var sizes []int
-	seenP := map[sim.Time]bool{}
 	seenN := map[int]bool{}
 	for _, c := range cells {
 		if byPeriod[c.Period] == nil {
 			byPeriod[c.Period] = map[int]Fig9Cell{}
-		}
-		byPeriod[c.Period][c.Jobs] = c
-		if !seenP[c.Period] {
-			seenP[c.Period] = true
 			periods = append(periods, c.Period)
 		}
+		byPeriod[c.Period][c.Jobs] = c
 		if !seenN[c.Jobs] {
 			seenN[c.Jobs] = true
 			sizes = append(sizes, c.Jobs)
 		}
 	}
-	fmt.Fprintf(&b, "%-10s", "")
+	t := &Table{Title: "Figure 9: gain vs fixed for inhibitor periods (rows) and workload sizes (columns)",
+		Cols: []Col{{"", -10}}}
 	for _, n := range sizes {
-		fmt.Fprintf(&b, "%8dj", n)
+		t.Cols = append(t.Cols, Col{fmt.Sprintf("%dj", n), 8})
 	}
-	b.WriteString("\n")
 	for _, p := range periods {
-		name := "Flexible"
+		row := []string{"Flexible"}
 		if p > 0 {
-			name = fmt.Sprintf("Sched %d", int(p.Seconds()))
+			row[0] = fmt.Sprintf("Sched %d", int(p.Seconds()))
 		}
-		fmt.Fprintf(&b, "%-10s", name)
 		for _, n := range sizes {
-			fmt.Fprintf(&b, "%+8.2f%%", byPeriod[p][n].GainPct)
+			row = append(row, fmt.Sprintf("%+.2f%%", byPeriod[p][n].GainPct))
 		}
-		b.WriteString("\n")
+		t.Row(row...)
 	}
-	return b.String()
+	return t
+}
+
+// evolutionStudy is the registry entry of one time-evolution figure:
+// ASCII charts of allocated nodes and completed jobs for the fixed and
+// flexible runs, with the raw series as CSV and the charts as SVG.
+func evolutionStudy(name, title string, kind EvolutionKind) Study {
+	return Study{[]string{name}, func(o Options) (Report, error) {
+		fixed, flex := Evolution(kind, o.Seed)
+		end := max(fixed.Makespan, flex.Makespan)
+		runs := []struct {
+			mode string
+			res  *metrics.WorkloadResult
+		}{{"fixed", fixed}, {"flexible", flex}}
+		var rep Report
+		for _, run := range runs {
+			rep.Add(Artifact{Name: name + "_" + run.mode + ".csv", Note: fmt.Sprintf(" (%d samples)", len(run.res.Trace.Samples)),
+				Write: func(w io.Writer) error { return metrics.WriteTraceCSV(w, run.res.Trace) }})
+		}
+		var b strings.Builder
+		b.WriteString(title + "\n")
+		for _, chart := range []struct {
+			suffix, what, yLabel string
+			yMax                 int
+			value                func(metrics.Sample) int
+		}{
+			{"alloc", "allocated nodes", "nodes", fixed.Trace.TotalNodes, func(s metrics.Sample) int { return s.Alloc }},
+			{"completed", "completed jobs", "jobs", fixed.Jobs, func(s metrics.Sample) int { return s.Completed }},
+		} {
+			var series []metrics.Series
+			for i, run := range runs {
+				series = append(series, metrics.Series{Name: run.mode, Color: palette[i], Trace: run.res.Trace, Value: chart.value})
+				b.WriteString(metrics.AsciiChart(run.mode+": "+chart.what, run.res.Trace, chart.value, chart.yMax, 72, end))
+			}
+			rep.Add(Artifact{Name: name + "_" + chart.suffix + ".svg", Write: func(w io.Writer) error {
+				return metrics.WriteEvolutionSVG(w, title+": "+chart.what, chart.yLabel, chart.yMax, end, series)
+			}})
+		}
+		fmt.Fprintf(&b, "fixed makespan %.0f s | flexible makespan %.0f s | gain %.2f%%\n\n",
+			fixed.Makespan.Seconds(), flex.Makespan.Seconds(),
+			metrics.GainPct(fixed.Makespan.Seconds(), flex.Makespan.Seconds()))
+		rep.Print(b.String())
+		return rep, nil
+	}}
 }

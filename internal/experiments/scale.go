@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -146,23 +145,27 @@ func Scale(dims []ScaleDim, seed int64) []ScaleRow {
 	return out
 }
 
-// FormatScale renders the study: per dimension and regime, the
+// scaleReport is the study's table — per dimension and regime, the
 // simulator's wall-clock seconds, kernel events and throughput, with
-// makespan and energy as correctness witnesses.
-func FormatScale(rows []ScaleRow) string {
-	var b strings.Builder
-	b.WriteString("Scale: simulator throughput at fleet scale (rigid vs malleable vs class-aware)\n")
-	fmt.Fprintf(&b, "%6s %7s %11s %9s %11s %11s %9s %12s %11s\n",
-		"nodes", "jobs", "regime", "wall(s)", "events", "events/s", "jobs/s", "makespan(s)", "energy(MJ)")
+// makespan and energy as correctness witnesses — and the same rows as
+// scale_summary.csv.
+func scaleReport(rows []ScaleRow) Report {
+	t := &Table{Title: "Scale: simulator throughput at fleet scale (rigid vs malleable vs class-aware)", Cols: []Col{
+		{"nodes", 6}, {"jobs", 7}, {"regime", 11}, {"wall(s)", 9}, {"events", 11}, {"events/s", 11},
+		{"jobs/s", 9}, {"makespan(s)", 12}, {"energy(MJ)", 11},
+	}}
+	summary := csvTable("nodes,jobs,regime,wall_s,kernel_events,events_per_sec,jobs_per_sec,makespan_s,energy_j")
 	for _, r := range rows {
 		for _, run := range r.Runs() {
-			fmt.Fprintf(&b, "%6d %7d %11s %9.2f %11d %11.0f %9.0f %12.0f %11.1f\n",
-				r.Nodes, r.Jobs, run.Regime, run.WallSec, run.KernelEvents,
-				run.EventsPerSec, run.JobsPerSec,
-				run.Res.Makespan.Seconds(), run.Res.EnergyJ/1e6)
+			t.Row(fmt.Sprint(r.Nodes), fmt.Sprint(r.Jobs), run.Regime, num(run.WallSec, 2), fmt.Sprint(run.KernelEvents),
+				num(run.EventsPerSec, 0), num(run.JobsPerSec, 0), num(run.Res.Makespan.Seconds(), 0), num(run.Res.EnergyJ/1e6, 1))
+			summary.Row(fmt.Sprint(r.Nodes), fmt.Sprint(r.Jobs), run.Regime, num(run.WallSec, 3), fmt.Sprint(run.KernelEvents),
+				num(run.EventsPerSec, 0), num(run.JobsPerSec, 0), num(run.Res.Makespan.Seconds(), 3), num(run.Res.EnergyJ, 1))
 		}
 	}
-	return b.String()
+	rep := textReport(t.Text())
+	rep.Add(Artifact{Name: "scale_summary.csv", Write: summary.WriteCSV})
+	return rep
 }
 
 // SchedStats summarizes one controller-only throughput run.
@@ -184,7 +187,7 @@ func SchedulerThroughput(nodes, jobs int, seed int64) SchedStats {
 	scfg := slurm.DefaultConfig()
 	scfg.ClassAware = true
 	scfg.Energy = energy.New(cl.K, cl.PowerProfiles())
-	scfg.IdleSleep = DefaultIdleSleep
+	scfg.SleepLadder = idleSleep()
 	ctl := slurm.NewController(cl, scfg)
 
 	specs := workload.Generate(scaleWorkloadParams(nodes, jobs, seed))

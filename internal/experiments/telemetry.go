@@ -41,9 +41,10 @@ func Telemetry(jobs int, seed int64) *TelemetryRun {
 	}
 }
 
-// FormatTelemetry renders the run's headline counters: what the
-// scheduler did, what it cost, and how big the emitted artifacts are.
-func FormatTelemetry(r *TelemetryRun) string {
+// telemetryText is the run's headline counters: what the scheduler did,
+// what it cost, and how big the emitted artifacts are. It is a summary,
+// not a table.
+func telemetryText(r *TelemetryRun) string {
 	reg := r.Sink.Reg
 	counter := func(name string) uint64 { return reg.Counter(name).Value() }
 	var b strings.Builder
@@ -67,6 +68,17 @@ func FormatTelemetry(r *TelemetryRun) string {
 	fmt.Fprintf(&b, "controller events %d (retained %d)  trace events %d\n",
 		r.TotalEvents, r.RetainedEvents, r.Sink.Trace.Len())
 	return b.String()
+}
+
+// telemetryReport is the run's summary with its exports: the Chrome
+// trace JSON (Perfetto-loadable) and the metrics registry in Prometheus
+// text and CSV form.
+func telemetryReport(r *TelemetryRun) Report {
+	rep := textReport(telemetryText(r))
+	rep.Add(Artifact{Name: "telemetry_trace.json", Write: r.Sink.Trace.WriteJSON})
+	rep.Add(Artifact{Name: "telemetry_metrics.prom", Write: r.Sink.Reg.WriteProm})
+	rep.Add(Artifact{Name: "telemetry_metrics.csv", Write: r.Sink.Reg.WriteCSV})
+	return rep
 }
 
 // histMean is the histogram's mean observation (0 when empty).

@@ -44,5 +44,5 @@ func TestTelemetryGolden(t *testing.T) {
 
 	checkGolden(t, "telemetry_50j_metrics.prom", prom1)
 	checkGolden(t, "telemetry_50j_trace.json", trace1)
-	checkGolden(t, "telemetry_50j_table.txt", []byte(FormatTelemetry(r1)))
+	checkGolden(t, "telemetry_50j_table.txt", []byte(telemetryText(r1)))
 }

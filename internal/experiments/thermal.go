@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/core"
+	"repro/internal/energy"
 	"repro/internal/metrics"
 	"repro/internal/platform"
 	"repro/internal/sim"
@@ -146,75 +146,78 @@ func LadderSweep(jobs int, seed int64) []LadderRun {
 		return out
 	}
 	return []LadderRun{
-		run("single-s0", func(*core.Config) {}), // today's default: IdleSleep → S0
-		run("single-s1", func(c *core.Config) { c.SleepState = 1 }),
-		run("ladder", func(c *core.Config) {
-			c.IdleSleep, c.SleepState = 0, 0
-			c.SleepLadder = slurm.DefaultSleepLadder()
-		}),
+		run("single-s0", func(*core.Config) {}), // the energy studies' default: S0 after DefaultIdleSleep
+		run("single-s1", func(c *core.Config) { c.SleepLadder = []slurm.SleepRung{{AfterIdle: DefaultIdleSleep, State: 1}} }),
+		run("ladder", func(c *core.Config) { c.SleepLadder = slurm.DefaultSleepLadder() }),
 	}
 }
 
-// FormatThermal renders the sustained-load study.
-func FormatThermal(r ThermalRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Thermal DVFS: makespan stretch under the envelope (%d fast : %d efficiency, %d jobs)\n",
-		r.FastNodes, r.SlowNodes, r.Jobs)
-	fmt.Fprintf(&b, "%11s %12s %12s %9s %10s %10s %9s %8s\n",
-		"regime", "ideal(s)", "thermal(s)", "stretch%", "throttles", "restores", "thr(ns)", "peak°C")
-	for _, row := range []struct {
-		name string
-		run  ThermalRun
-	}{
-		{"rigid", r.Rigid}, {"malleable", r.Malleable}, {"classaware", r.ClassAware},
-	} {
-		fmt.Fprintf(&b, "%11s %12.0f %12.0f %9.2f %10d %10d %9.0f %8.1f\n",
-			row.name, row.run.Base.Makespan.Seconds(), row.run.Res.Makespan.Seconds(),
-			row.run.StretchPct(), row.run.ThrottleEvents, row.run.RestoreEvents,
-			row.run.ThermalNodeSec, row.run.PeakC)
+// runs returns the sustained-load study's runs in regimeNames order.
+func (r ThermalRow) runs() []ThermalRun { return []ThermalRun{r.Rigid, r.Malleable, r.ClassAware} }
+
+// thermalTable is the sustained-load study.
+func thermalTable(r ThermalRow) *Table {
+	t := &Table{
+		Title: fmt.Sprintf("Thermal DVFS: makespan stretch under the envelope (%d fast : %d efficiency, %d jobs)",
+			r.FastNodes, r.SlowNodes, r.Jobs),
+		Cols: []Col{{"regime", 11}, {"ideal(s)", 12}, {"thermal(s)", 12}, {"stretch%", 9},
+			{"throttles", 10}, {"restores", 10}, {"thr(ns)", 9}, {"peak°C", 8}},
 	}
-	return b.String()
+	for i, run := range r.runs() {
+		t.Row(regimeNames[i], num(run.Base.Makespan.Seconds(), 0), num(run.Res.Makespan.Seconds(), 0),
+			num(run.StretchPct(), 2), fmt.Sprint(run.ThrottleEvents), fmt.Sprint(run.RestoreEvents),
+			num(run.ThermalNodeSec, 0), num(run.PeakC, 1))
+	}
+	return t
 }
 
-// FormatLadder renders the sparse-load sleep sweep.
-func FormatLadder(runs []LadderRun) string {
-	var b strings.Builder
-	b.WriteString("S-state ladder: sparse-load energy by sleep configuration\n")
-	fmt.Fprintf(&b, "%10s %12s %12s %10s %8s %8s\n",
-		"config", "makespan(s)", "energy(kJ)", "avg(W)", "sleeps", "wakes")
+// ladderTable is the sparse-load sleep sweep.
+func ladderTable(runs []LadderRun) *Table {
+	t := &Table{Title: "S-state ladder: sparse-load energy by sleep configuration", Cols: []Col{
+		{"config", 10}, {"makespan(s)", 12}, {"energy(kJ)", 12}, {"avg(W)", 10}, {"sleeps", 8}, {"wakes", 8},
+	}}
 	for _, run := range runs {
-		fmt.Fprintf(&b, "%10s %12.0f %12.0f %10.0f %8d %8d\n",
-			run.Name, run.Res.Makespan.Seconds(), run.Res.EnergyJ/1e3,
-			run.Res.AvgPowerW, run.SleepSteps, run.Wakes)
+		t.Row(run.Name, num(run.Res.Makespan.Seconds(), 0), num(run.Res.EnergyJ/1e3, 0),
+			num(run.Res.AvgPowerW, 0), fmt.Sprint(run.SleepSteps), fmt.Sprint(run.Wakes))
 	}
-	return b.String()
+	return t
 }
 
-// WriteThermalSummaryCSV dumps both halves of the study as one CSV (the
+// thermalSummary is both halves of the study as one CSV table (the
 // golden-pinned artifact of -exp thermal).
-func WriteThermalSummaryCSV(w io.Writer, r ThermalRow, ladders []LadderRun) error {
-	if _, err := fmt.Fprintln(w, "study,variant,jobs,makespan_s,energy_j,stretch_pct,throttle_events,restore_events,thermal_node_s,peak_temp_c,sleep_steps,wakes"); err != nil {
-		return err
-	}
-	for _, row := range []struct {
-		name string
-		run  ThermalRun
-	}{
-		{"rigid", r.Rigid}, {"malleable", r.Malleable}, {"classaware", r.ClassAware},
-	} {
-		if _, err := fmt.Fprintf(w, "thermal,%s,%d,%.3f,%.1f,%.2f,%d,%d,%.1f,%.2f,0,0\n",
-			row.name, r.Jobs, row.run.Res.Makespan.Seconds(), row.run.Res.EnergyJ,
-			row.run.StretchPct(), row.run.ThrottleEvents, row.run.RestoreEvents,
-			row.run.ThermalNodeSec, row.run.PeakC); err != nil {
-			return err
-		}
+func thermalSummary(r ThermalRow, ladders []LadderRun) *Table {
+	t := csvTable("study,variant,jobs,makespan_s,energy_j,stretch_pct,throttle_events,restore_events,thermal_node_s,peak_temp_c,sleep_steps,wakes")
+	for i, run := range r.runs() {
+		t.Row("thermal", regimeNames[i], fmt.Sprint(r.Jobs), num(run.Res.Makespan.Seconds(), 3), num(run.Res.EnergyJ, 1),
+			num(run.StretchPct(), 2), fmt.Sprint(run.ThrottleEvents), fmt.Sprint(run.RestoreEvents),
+			num(run.ThermalNodeSec, 1), num(run.PeakC, 2), "0", "0")
 	}
 	for _, run := range ladders {
-		if _, err := fmt.Fprintf(w, "ladder,%s,%d,%.3f,%.1f,0,0,0,0,0,%d,%d\n",
-			run.Name, run.Res.Jobs, run.Res.Makespan.Seconds(), run.Res.EnergyJ,
-			run.SleepSteps, run.Wakes); err != nil {
-			return err
+		t.Row("ladder", run.Name, fmt.Sprint(run.Res.Jobs), num(run.Res.Makespan.Seconds(), 3), num(run.Res.EnergyJ, 1),
+			"0", "0", "0", "0", "0", fmt.Sprint(run.SleepSteps), fmt.Sprint(run.Wakes))
+	}
+	return t
+}
+
+// thermalReport is the study's two tables with the summary CSV and each
+// regime's hottest-node temperature trace (CSV, and an SVG against the
+// envelope).
+func thermalReport(r ThermalRow, ladders []LadderRun) Report {
+	rep := textReport(thermalTable(r).Text(), ladderTable(ladders).Text())
+	rep.Add(Artifact{Name: "thermal_summary.csv", Write: thermalSummary(r, ladders).WriteCSV})
+	for i, run := range r.runs() {
+		if tr := run.Res.Temp; tr != nil {
+			rep.Add(Artifact{Name: "thermal_" + regimeNames[i] + "_temp.csv", Write: func(w io.Writer) error { return metrics.WriteTempCSV(w, tr) }})
 		}
 	}
-	return nil
+	th := energy.DefaultThermalFor(energy.DefaultProfile())
+	for i, run := range r.runs() {
+		if tr := run.Res.Temp; tr != nil {
+			title := fmt.Sprintf("Hottest node temperature (%s regime)", regimeNames[i])
+			rep.Add(Artifact{Name: "thermal_" + regimeNames[i] + "_temp.svg", Write: func(w io.Writer) error {
+				return metrics.WriteTempSVG(w, title, run.Res.Makespan, th.ThrottleC, th.RestoreC, tr)
+			}})
+		}
+	}
+	return rep
 }

@@ -62,9 +62,9 @@ func TestThermalCSVGolden(t *testing.T) {
 	row := Thermal(20, DefaultSeed)
 	ladders := LadderSweep(10, DefaultSeed)
 	var b bytes.Buffer
-	if err := WriteThermalSummaryCSV(&b, row, ladders); err != nil {
+	if err := thermalSummary(row, ladders).WriteCSV(&b); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "thermal_20j_summary.csv", b.Bytes())
-	checkGolden(t, "thermal_20j_table.txt", []byte(FormatThermal(row)+FormatLadder(ladders)))
+	checkGolden(t, "thermal_20j_table.txt", []byte(thermalTable(row).Text()+ladderTable(ladders).Text()))
 }

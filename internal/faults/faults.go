@@ -71,6 +71,20 @@ type Config struct {
 // Enabled reports whether the configuration injects anything at all.
 func (c Config) Enabled() bool { return c.MTBF > 0 || c.BootFailP > 0 }
 
+// Validate rejects a configuration New cannot honour: a negative MTBF
+// or MTTR, or a boot-failure probability outside [0, 1].
+func (c Config) Validate() error {
+	switch {
+	case c.MTBF < 0:
+		return fmt.Errorf("faults: negative MTBF %v", c.MTBF)
+	case c.MTTR < 0:
+		return fmt.Errorf("faults: negative MTTR %v", c.MTTR)
+	case c.BootFailP < 0 || c.BootFailP > 1:
+		return fmt.Errorf("faults: boot-failure probability %v outside [0, 1]", c.BootFailP)
+	}
+	return nil
+}
+
 // Injector implements slurm.FaultModel over a seeded stream.
 type Injector struct {
 	cfg Config
@@ -80,8 +94,8 @@ type Injector struct {
 // New builds an injector. The configuration is normalized here once so
 // every consumer sees the same defaults.
 func New(cfg Config) *Injector {
-	if cfg.MTBF < 0 || cfg.BootFailP < 0 || cfg.BootFailP > 1 {
-		panic(fmt.Sprintf("faults: invalid config (MTBF %v, BootFailP %v)", cfg.MTBF, cfg.BootFailP))
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	if cfg.Shape <= 0 {
 		cfg.Shape = 1

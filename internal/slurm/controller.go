@@ -28,21 +28,20 @@ type Config struct {
 	// Energy, when non-nil, receives every node power-state transition
 	// and attributes per-job energy (the EnergyJ accounting column).
 	Energy *energy.Accountant
-	// IdleSleep is the idle timeout after which a free node drops to a
-	// sleep state; 0 keeps idle nodes powered on. Requires Energy.
+	// IdleSleep is shorthand for a one-rung S0 ladder: a free node idle
+	// this long drops to the shallowest sleep state (0 keeps idle nodes
+	// powered on; SleepLadder wins when set). Requires Energy. It remains
+	// only because simbench sets it, and goes when simbench next changes;
+	// new code sets SleepLadder.
 	IdleSleep sim.Time
-	// SleepState selects which S-state idle nodes drop into (0 is the
-	// shallowest). Allocating a sleeping node pays its wake latency
-	// before the job launches.
-	SleepState int
-	// SleepLadder, when non-empty, replaces the single IdleSleep/
-	// SleepState drop with a deepening ladder: a node idle for
-	// rung.AfterIdle sinks to rung.State, stepping deeper the longer it
-	// stays idle. Rungs must have strictly increasing AfterIdle and
-	// State (deeper rungs draw less but wake slower — allocating a
-	// laddered node pays the wake latency of the rung it actually
-	// occupies, so energy-aware backfill's wake pricing and the
-	// allocator's awake-first preference face a real gradient).
+	// SleepLadder, when non-empty, sends idle nodes down a deepening
+	// ladder of S-states: a node idle for rung.AfterIdle sinks to
+	// rung.State, stepping deeper the longer it stays idle. Rungs must
+	// have strictly increasing AfterIdle and State (deeper rungs draw
+	// less but wake slower — allocating a laddered node pays the wake
+	// latency of the rung it actually occupies, so energy-aware
+	// backfill's wake pricing and the allocator's awake-first
+	// preference face a real gradient).
 	// Requires Energy.
 	SleepLadder []SleepRung
 	// PowerCapW bounds the instantaneous cluster draw (facility power
@@ -203,12 +202,12 @@ func DefaultSleepLadder() []SleepRung {
 	}
 }
 
-// validateLadder checks a configured S-state ladder: rungs must exist,
+// ValidateLadder checks a configured S-state ladder: rungs must exist,
 // start after a positive idle time, and step strictly deeper at
 // strictly later times — a rung that wakes earlier or shallower than
 // its predecessor could never be entered (the accountant only deepens
 // sleeping nodes).
-func validateLadder(ladder []SleepRung) error {
+func ValidateLadder(ladder []SleepRung) error {
 	for i, r := range ladder {
 		if r.AfterIdle <= 0 {
 			return fmt.Errorf("slurm: sleep ladder rung %d fires after %v; idle times must be positive", i, r.AfterIdle)
@@ -237,7 +236,7 @@ func NewController(c *platform.Cluster, cfg Config) *Controller {
 		if cfg.Energy == nil {
 			panic("slurm: SleepLadder requires an energy accountant")
 		}
-		if err := validateLadder(cfg.SleepLadder); err != nil {
+		if err := ValidateLadder(cfg.SleepLadder); err != nil {
 			panic(err)
 		}
 	}
@@ -254,14 +253,14 @@ func NewController(c *platform.Cluster, cfg Config) *Controller {
 		sleepGen:  make([]int, len(c.Nodes)),
 		bootUntil: make([]sim.Time, len(c.Nodes)),
 	}
-	// Normalize the sleep configuration into one ladder: the legacy
-	// single-state drop is a one-rung ladder.
+	// Normalize the sleep configuration into one ladder: the IdleSleep
+	// shorthand is a one-rung S0 ladder.
 	if cfg.Energy != nil {
 		switch {
 		case len(cfg.SleepLadder) > 0:
 			ctl.ladder = cfg.SleepLadder
 		case cfg.IdleSleep > 0:
-			ctl.ladder = []SleepRung{{AfterIdle: cfg.IdleSleep, State: cfg.SleepState}}
+			ctl.ladder = []SleepRung{{AfterIdle: cfg.IdleSleep}}
 		}
 		cfg.Energy.OnThermal = ctl.onThermal
 	}
@@ -1037,7 +1036,17 @@ func (c *Controller) startJob(j *Job, n int) {
 		return
 	}
 	if j.Launch != nil {
-		c.afterWake(wake, func() { j.Launch(j, j.alloc) })
+		// Until the launch fires the job has no runtime to recover a
+		// crash, so crashNode requeues it on the spot. The requeue bumps
+		// the incarnation, and its relaunch owns the job from then on:
+		// this launch must not fire too, or two process sets would run
+		// (and shrink, and complete) the same job.
+		inc := j.Incarnation
+		c.afterWake(wake, func() {
+			if j.Incarnation == inc {
+				j.Launch(j, j.alloc)
+			}
+		})
 	}
 }
 

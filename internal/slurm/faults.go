@@ -279,6 +279,7 @@ func (c *Controller) requeueFailed(j *Job) {
 	}
 	j.Requeues++
 	j.Incarnation++
+	j.OnNodeFail = nil // the handler died with the incarnation's runtime
 	j.LostWorkS += lost
 	c.faults.stats.Requeues++
 	c.faults.stats.LostWorkS += lost

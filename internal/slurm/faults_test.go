@@ -161,7 +161,7 @@ func TestFaultCrashRequeuesRigidJob(t *testing.T) {
 // to the drain books, and only Resume re-pools it.
 func TestFaultCrashMidBootVoidsBootAndDrainHolds(t *testing.T) {
 	fm := &stubFaults{crash: []sim.Time{25 * sim.Second}, repair: 100 * sim.Second}
-	cl, c := faultController(1, fm, func(cfg *Config) { cfg.IdleSleep = 10 * sim.Second })
+	cl, c := faultController(1, fm, func(cfg *Config) { cfg.SleepLadder = []SleepRung{{AfterIdle: 10 * sim.Second}} })
 	// t=10: the idle node sleeps. t=20: drain wakes it for maintenance
 	// (a real boot window). t=25: crash lands mid-boot.
 	cl.K.At(20*sim.Second, func() {
@@ -327,5 +327,34 @@ func TestFaultBootFailureStrikesToUnhealthy(t *testing.T) {
 	if c.faults.unhealthy[1] || c.faults.strikes[1] != 0 {
 		t.Fatalf("strike record not cleared: unhealthy=%v strikes=%d",
 			c.faults.unhealthy[1], c.faults.strikes[1])
+	}
+}
+
+// Regression: a crash while a start waits out its nodes' wake latency
+// finds no runtime to recover the job, so the job is requeued on the
+// spot — and the start's deferred Launch must then never fire: the
+// relaunch owns the job. Firing it too ran two process sets on one job.
+func TestCrashDuringWakeWindowSkipsStaleLaunch(t *testing.T) {
+	fm := &stubFaults{crash: []sim.Time{110 * sim.Second}, repair: 10 * sim.Second}
+	cl, c := faultController(1, fm, func(cfg *Config) {
+		cfg.SleepLadder = []SleepRung{{AfterIdle: 10 * sim.Second, State: 1}} // 30 s wake
+	})
+	j := faultSleeper(c, "A", 1, 100*sim.Second)
+	launch := j.Launch
+	var launched []int
+	j.Launch = func(j *Job, nodes []*platform.Node) {
+		// Like the nanos runtime, the launch installs the failure
+		// handler; before it there is none.
+		j.OnNodeFail = func(*Job, *platform.Node) { t.Error("crash reported to the runtime of a later launch") }
+		launched = append(launched, j.Incarnation)
+		launch(j, nodes)
+	}
+	cl.K.At(100*sim.Second, func() { c.Submit(j) }) // start at 100 s, launch due at 130 s
+	cl.K.Run()
+	if j.State != StateCompleted || j.Requeues != 1 {
+		t.Fatalf("job %v after %d requeues, want completed after 1", j.State, j.Requeues)
+	}
+	if len(launched) != 1 || launched[0] != 1 {
+		t.Fatalf("launched incarnations %v, want only the relaunch [1]", launched)
 	}
 }

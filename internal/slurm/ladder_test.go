@@ -34,7 +34,7 @@ func TestLadderValidation(t *testing.T) {
 		{"shallower later rung", []SleepRung{{AfterIdle: 30 * sim.Second, State: 1}, {AfterIdle: 90 * sim.Second, State: 0}}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validateLadder(tc.ladder)
+			err := ValidateLadder(tc.ladder)
 			if tc.ok && err != nil {
 				t.Fatalf("unexpected error: %v", err)
 			}
@@ -133,23 +133,22 @@ func TestLadderRestartsAfterAllocation(t *testing.T) {
 	}
 }
 
-// The legacy single-state configuration behaves as a one-rung ladder.
+// The IdleSleep shorthand behaves as a one-rung S0 ladder.
 func TestLegacySleepConfigIsOneRungLadder(t *testing.T) {
 	cl := testCluster(2)
 	cfg := DefaultConfig()
 	cfg.Energy = energy.New(cl.K, cl.PowerProfiles())
 	cfg.IdleSleep = 30 * sim.Second
-	cfg.SleepState = 1
 	c := NewController(cl, cfg)
 	cl.K.RunUntil(31 * sim.Second)
 	a := c.Energy()
-	if a.SleepingNodes() != 2 || a.SStateOf(0) != 1 {
-		t.Fatalf("%d sleeping, S%d; want 2 nodes on S1", a.SleepingNodes(), a.SStateOf(0))
+	if a.SleepingNodes() != 2 || a.SStateOf(0) != 0 {
+		t.Fatalf("%d sleeping, S%d; want 2 nodes on S0", a.SleepingNodes(), a.SStateOf(0))
 	}
 	// And it stays there: no deeper rung exists.
 	cl.K.RunUntil(sim.Hour)
-	if a.SStateOf(0) != 1 {
-		t.Fatalf("S%d after an hour", a.SStateOf(0))
+	if a.SleepingNodes() != 2 || a.SStateOf(0) != 0 {
+		t.Fatalf("%d sleeping, S%d after an hour", a.SleepingNodes(), a.SStateOf(0))
 	}
 }
 

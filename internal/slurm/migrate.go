@@ -212,6 +212,7 @@ func (c *Controller) MigrateRequeue(j *Job) {
 	delete(m.orders, j.ID)
 	now := c.k.Now()
 	j.Incarnation++
+	j.OnNodeFail = nil // the handler died with the incarnation's runtime
 	j.Migrations++
 	j.MigratedS += ord.cost.Seconds()
 	m.stats.Migrations++
