@@ -51,7 +51,8 @@ func usage(err error) {
 }
 
 // parseElastic parses the -elastic envelope spec "min:max" ("min" alone
-// or "min:" leaves max at 0, the whole cluster).
+// or "min:" leaves max at 0, the whole cluster). The envelope itself is
+// checked by core.Config.Validate.
 func parseElastic(s string) (*slurm.ElasticConfig, error) {
 	minPart, maxPart, _ := strings.Cut(s, ":")
 	var el slurm.ElasticConfig
@@ -62,9 +63,6 @@ func parseElastic(s string) (*slurm.ElasticConfig, error) {
 		if _, err := fmt.Sscanf(maxPart, "%d", &el.Max); err != nil {
 			return nil, fmt.Errorf("bad -elastic %q: want min:max", s)
 		}
-	}
-	if el.Min < 0 || (el.Max != 0 && el.Max < el.Min) {
-		return nil, fmt.Errorf("bad -elastic %q: envelope is inverted", s)
 	}
 	return &el, nil
 }
@@ -156,18 +154,18 @@ func main() {
 	if *ladder && *sleepAfter != 0 {
 		usage(fmt.Errorf("-sleep and -ladder are mutually exclusive (the ladder fixes its own rung timings)"))
 	}
-	if *withEnergy || *sleepAfter != 0 || *energyPolicy || *powerCap != 0 || *thermal || *ladder || *elastic != "" || *migrate {
-		cfg.Energy = true
-		if *sleepAfter != 0 {
-			cfg.SleepLadder = []slurm.SleepRung{{AfterIdle: sim.Seconds(*sleepAfter)}}
-		}
-		cfg.EnergyPolicy = *energyPolicy
-		cfg.PowerCapW = *powerCap
-		cfg.Thermal = *thermal
-		if *ladder {
-			cfg.SleepLadder = slurm.DefaultSleepLadder()
-		}
+	// Every feature below that runs on the energy accountant turns
+	// Energy on inside core.NewSystem; -energy only meters a plain run.
+	cfg.Energy = *withEnergy
+	if *sleepAfter != 0 {
+		cfg.SleepLadder = []slurm.SleepRung{{AfterIdle: sim.Seconds(*sleepAfter)}}
 	}
+	if *ladder {
+		cfg.SleepLadder = slurm.DefaultSleepLadder()
+	}
+	cfg.EnergyPolicy = *energyPolicy
+	cfg.PowerCapW = *powerCap
+	cfg.Thermal = *thermal
 	if *elastic != "" {
 		el, err := parseElastic(*elastic)
 		if err != nil {

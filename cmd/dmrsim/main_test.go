@@ -35,6 +35,8 @@ func TestBadInputExitsTwo(t *testing.T) {
 		{"-bootfail", "-0.1"},
 		{"-arrival", "hourly"},
 		{"-elastic", "9:3"},
+		{"-elastic", "5:3"},
+		{"-elastic", "-1"},
 		{"-sleep", "60", "-ladder"},
 		{"-fastnodes", "99"},
 	} {

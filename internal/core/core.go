@@ -17,12 +17,16 @@ import (
 	"repro/internal/sim"
 	"repro/internal/slurm"
 	"repro/internal/slurm/selectdmr"
-	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
 // Config shapes a System.
 type Config struct {
+	// Features are the scheduler features handed to the controller
+	// unchanged (sleep ladder, power cap, class-aware placement,
+	// elastic fleet, live migration, telemetry, event-log cap). Every
+	// one the energy accountant meters implies Energy.
+	slurm.Features
 	// Nodes overrides the cluster size (0 keeps the platform default of
 	// 65, the paper's testbed).
 	Nodes int
@@ -44,9 +48,6 @@ type Config struct {
 	RealCompute bool
 	// ProblemN overrides the in-memory stand-in state size.
 	ProblemN int
-	// TimeLimitFactor scales job runtime estimates into time limits for
-	// backfill reservations (default 4).
-	TimeLimitFactor float64
 	// MoldableSubmissions enables the paper's future-work extension
 	// (§X): jobs are submitted with a node range [min, requested] and
 	// the scheduler picks the start size.
@@ -63,14 +64,11 @@ type Config struct {
 	CRTransfer bool
 	// Energy attaches the power/energy accounting subsystem: per-node
 	// power-state metering, per-job attributed energy in the accounting
-	// records, and the EnergyJ/AvgPowerW workload measures.
+	// records, and the EnergyJ/AvgPowerW workload measures. NewSystem
+	// turns it on for every feature that runs on the accountant's
+	// meters (see needsEnergy); set it directly only to meter a plain
+	// run.
 	Energy bool
-	// SleepLadder steps idle nodes through progressively deeper S-states
-	// the longer they stay idle (implies Energy; empty keeps idle nodes
-	// powered on). A single rung is the plain "sleep after N seconds"
-	// setup. Allocating a laddered node pays the wake latency of the
-	// rung it occupies.
-	SleepLadder []slurm.SleepRung
 	// Thermal attaches the default per-class thermal envelope to every
 	// node profile that does not already carry one (implies Energy):
 	// sustained load heats nodes past the envelope and forces DVFS
@@ -78,29 +76,10 @@ type Config struct {
 	// restore threshold clears it. Platforms supplying their own
 	// Profile.Thermal envelopes are honored without this switch.
 	Thermal bool
-	// EnergyPolicy swaps Algorithm 1 for its energy-aware variant:
-	// shrink when the queue is empty so freed nodes sleep, expand only
-	// under dense arrivals.
+	// EnergyPolicy swaps Algorithm 1 for its energy-aware variant
+	// (implies Energy): shrink when the queue is empty so freed nodes
+	// sleep, expand only under dense arrivals.
 	EnergyPolicy bool
-	// PowerCapW bounds the instantaneous cluster draw: job starts are
-	// admission-controlled and running jobs are DVFS-throttled to stay
-	// under the cap (implies Energy; 0 disables capping).
-	PowerCapW float64
-	// ClassAware turns on machine-class-aware placement for
-	// heterogeneous fleets: the scheduler prefers faster classes, prices
-	// moldable and backfill candidates by the slowest class they would
-	// receive, and the DMR policy declines expansions whose added nodes
-	// would drag the coupled step loop below its current throughput.
-	// Per-job hard/soft class demands (workload ClassMix) are honored
-	// even without this switch.
-	ClassAware bool
-	// Elastic attaches the elastic capacity controller (implies Energy):
-	// a periodic adapt loop sizes the powered fleet between Min and Max
-	// against queue pressure and measured wait, decommissioned nodes
-	// power off to S5 (zero draw, full boot on provision), and EASY
-	// reservations pre-boot the blocked job's nodes ahead of the
-	// reservation start.
-	Elastic *slurm.ElasticConfig
 	// Faults attaches the deterministic fault injector (implies Energy):
 	// seeded node crashes from an MTBF/Weibull model with repair delays,
 	// and boot failures for elastic provisioning. A crashed node's rigid
@@ -113,24 +92,11 @@ type Config struct {
 	// every this many iterations (0 disables), bounding the work a
 	// crash-requeued rigid job loses.
 	CkptEvery int
-	// Migration attaches the live-migration decision pass (implies
-	// Energy — the picker prices moves in watts): the scheduler may
-	// order a running job onto another machine class through a modeled
-	// checkpoint/restart cycle, to evacuate throttled nodes, clean up
-	// class-straddling placements, or consolidate sparse load so vacated
-	// racks power down. Requires a Policy (the selectdmr plug-ins
-	// implement the picker half). Nil leaves every golden byte-identical.
-	Migration *slurm.MigrationConfig
-	// Telemetry, when non-nil, wires the deterministic telemetry sink
-	// through the controller and accountant: sim-time trace spans,
-	// the metrics registry, and wall-clock profiling. Nil disables every
-	// hook (the default; the hot paths stay allocation-free).
-	Telemetry *telemetry.Sink
-	// EventLogCap bounds the controller's retained event log (0 keeps
-	// everything). Million-event runs set it to hold memory flat;
-	// SubscribeEvents still streams the complete sequence.
-	EventLogCap int
 }
+
+// timeLimitFactor scales job runtime estimates into the time limits
+// backfill reservations are priced against.
+const timeLimitFactor = 4
 
 // SchedPeriodDefault is the SchedPeriod sentinel that keeps each
 // application class's Table I checking-inhibitor period. It is not a
@@ -139,7 +105,7 @@ const SchedPeriodDefault sim.Time = -1
 
 // DefaultConfig returns the standard experiment setup.
 func DefaultConfig() Config {
-	return Config{Policy: true, SchedPeriod: SchedPeriodDefault, TimeLimitFactor: 4}
+	return Config{Policy: true, SchedPeriod: SchedPeriodDefault}
 }
 
 // Validate reports the first setting a System cannot honour. NewSystem
@@ -149,12 +115,10 @@ func (cfg Config) Validate() error {
 	switch {
 	case cfg.Nodes < 0:
 		return fmt.Errorf("core: negative node count %d", cfg.Nodes)
-	case cfg.PowerCapW < 0:
-		return fmt.Errorf("core: negative power cap %v W", cfg.PowerCapW)
 	case cfg.CkptEvery < 0:
 		return fmt.Errorf("core: negative checkpoint interval %d", cfg.CkptEvery)
 	}
-	if err := slurm.ValidateLadder(cfg.SleepLadder); err != nil {
+	if err := cfg.Features.Validate(); err != nil {
 		return err
 	}
 	if cfg.Faults != nil {
@@ -175,11 +139,15 @@ type System struct {
 	jobs []*slurm.Job
 }
 
+// needsEnergy reports whether cfg turns on a feature that runs on the
+// energy accountant's meters — the one place that rule is written.
+func needsEnergy(cfg Config) bool {
+	return len(cfg.SleepLadder) > 0 || cfg.PowerCapW > 0 || cfg.Thermal || cfg.Elastic != nil ||
+		(cfg.Faults != nil && cfg.Faults.Enabled()) || cfg.Migration != nil || cfg.EnergyPolicy
+}
+
 // NewSystem builds a fresh simulated system.
 func NewSystem(cfg Config) *System {
-	if cfg.TimeLimitFactor <= 0 {
-		cfg.TimeLimitFactor = 4
-	}
 	pc := platform.Marenostrum3()
 	if cfg.Platform != nil {
 		pc = *cfg.Platform
@@ -212,9 +180,7 @@ func NewSystem(cfg Config) *System {
 	}
 	cl := platform.New(pc)
 	scfg := slurm.DefaultConfig()
-	scfg.ClassAware = cfg.ClassAware
-	scfg.Telemetry = cfg.Telemetry
-	scfg.EventLogCap = cfg.EventLogCap
+	scfg.Features = cfg.Features
 	if cfg.Policy {
 		switch {
 		case cfg.EnergyPolicy && cfg.ClassAware:
@@ -231,10 +197,7 @@ func NewSystem(cfg Config) *System {
 	}
 	var acct *energy.Accountant
 	rec := &metrics.Recorder{}
-	faultsOn := cfg.Faults != nil && cfg.Faults.Enabled()
-	if cfg.PowerCapW > 0 || cfg.Thermal || len(cfg.SleepLadder) > 0 || cfg.Elastic != nil || faultsOn || cfg.Migration != nil {
-		cfg.Energy = true // all six run on the accountant's meters
-	}
+	cfg.Energy = cfg.Energy || needsEnergy(cfg)
 	if cfg.Energy {
 		acct = energy.New(cl.K, cl.PowerProfiles())
 		rec.AttachPower(acct) // before NewController: it may arm sleeps
@@ -248,13 +211,9 @@ func NewSystem(cfg Config) *System {
 			acct.SubscribePowerSamples(func(_ sim.Time, w float64) { power.Set(w) })
 		}
 		scfg.Energy = acct
-		scfg.SleepLadder = cfg.SleepLadder
-		scfg.PowerCapW = cfg.PowerCapW
-		scfg.Elastic = cfg.Elastic
-		if faultsOn {
-			scfg.Faults = faults.New(*cfg.Faults)
-		}
-		scfg.Migration = cfg.Migration
+	}
+	if cfg.Faults != nil && cfg.Faults.Enabled() {
+		scfg.Faults = faults.New(*cfg.Faults)
 	}
 	ctl := slurm.NewController(cl, scfg)
 	rec.Attach(ctl)
@@ -312,7 +271,7 @@ func (s *System) Submit(spec workload.Spec) *slurm.Job {
 	j := &slurm.Job{
 		Name:      fmt.Sprintf("%s-%03d", spec.Class, spec.Index),
 		ReqNodes:  spec.Nodes,
-		TimeLimit: sim.Time(float64(spec.Runtime) * s.Cfg.TimeLimitFactor),
+		TimeLimit: sim.Time(float64(spec.Runtime) * timeLimitFactor),
 		Flexible:  spec.Flexible,
 		ReqClass:  spec.ReqClass,
 		PrefClass: spec.PrefClass,

@@ -62,11 +62,43 @@ func TestConfigValidate(t *testing.T) {
 		{"negative MTTR", func(c *Config) { c.Faults = &faults.Config{MTBF: sim.Hour, MTTR: -sim.Second} }, false},
 		{"boot-failure probability above 1", func(c *Config) { c.Faults = &faults.Config{BootFailP: 1.5} }, false},
 		{"negative boot-failure probability", func(c *Config) { c.Faults = &faults.Config{BootFailP: -0.1} }, false},
+		{"negative event log cap", func(c *Config) { c.EventLogCap = -1 }, false},
+		{"elastic envelope", func(c *Config) { c.Elastic = &slurm.ElasticConfig{Min: 3, Max: 5} }, true},
+		{"elastic minimum only", func(c *Config) { c.Elastic = &slurm.ElasticConfig{Min: 3} }, true},
+		{"inverted elastic envelope", func(c *Config) { c.Elastic = &slurm.ElasticConfig{Min: 5, Max: 3} }, false},
+		{"negative elastic minimum", func(c *Config) { c.Elastic = &slurm.ElasticConfig{Min: -1} }, false},
 	} {
 		cfg := DefaultConfig()
 		tc.mut(&cfg)
 		if err := cfg.Validate(); (err == nil) != tc.ok {
 			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
 		}
+	}
+}
+
+// NewSystem derives the energy switch: each feature that runs on the
+// accountant's meters, set alone on a default config, attaches one.
+func TestFeaturesDeriveEnergy(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"sleep ladder", func(c *Config) { c.SleepLadder = slurm.DefaultSleepLadder() }},
+		{"power cap", func(c *Config) { c.PowerCapW = 12000 }},
+		{"thermal", func(c *Config) { c.Thermal = true }},
+		{"elastic", func(c *Config) { c.Elastic = &slurm.ElasticConfig{Min: 8} }},
+		{"faults", func(c *Config) { c.Faults = &faults.Config{MTBF: sim.Hour} }},
+		{"migration", func(c *Config) { c.Migration = &slurm.MigrationConfig{} }},
+		{"energy policy", func(c *Config) { c.EnergyPolicy = true }},
+	} {
+		cfg := DefaultConfig()
+		tc.set(&cfg)
+		sys := NewSystem(cfg)
+		if sys.Energy == nil || !sys.Cfg.Energy {
+			t.Errorf("%s: accountant %v, Cfg.Energy %v; want both on", tc.name, sys.Energy != nil, sys.Cfg.Energy)
+		}
+	}
+	if sys := NewSystem(DefaultConfig()); sys.Energy != nil || sys.Cfg.Energy {
+		t.Errorf("default config attached an accountant")
 	}
 }

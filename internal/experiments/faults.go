@@ -70,7 +70,6 @@ type FaultRow struct {
 // and the regime's checkpoint cadence.
 func faultConfig(mtbf sim.Time, ckptEvery int, seed int64) core.Config {
 	cfg := core.DefaultConfig()
-	cfg.Energy = true
 	cfg.SleepLadder = idleSleep()
 	cfg.Faults = &faults.Config{
 		MTBF:    mtbf,

@@ -10,14 +10,90 @@ import (
 	"repro/internal/telemetry"
 )
 
+// Features holds the scheduler features both configuration layers
+// share. It is declared once and embedded by value in Config and in
+// core.Config, so a setting made on either is promoted unchanged and
+// core hands the set over in one assignment.
+type Features struct {
+	// SleepLadder, when non-empty, sends idle nodes down a deepening
+	// ladder of S-states: a node idle for rung.AfterIdle sinks to
+	// rung.State, stepping deeper the longer it stays idle. Rungs must
+	// have strictly increasing AfterIdle and State (deeper rungs draw
+	// less but wake slower — allocating a laddered node pays the wake
+	// latency of the rung it actually occupies, so energy-aware
+	// backfill's wake pricing and the allocator's awake-first
+	// preference face a real gradient). A single rung is the plain
+	// "sleep after N seconds" setup. Needs the energy accountant.
+	SleepLadder []SleepRung
+	// PowerCapW bounds the instantaneous cluster draw (facility power
+	// budget). Before each start the controller projects the new
+	// allocation's draw and, when it would breach the cap, first
+	// throttles running jobs' nodes to deeper P-states (youngest job
+	// first), then starts the new job itself below P0, and finally
+	// defers the start — the cap-blocked job becomes the backfill
+	// reservation holder. Needs the energy accountant; 0 disables
+	// capping.
+	PowerCapW float64
+	// ClassAware makes placement machine-class aware on heterogeneous
+	// fleets: allocations prefer faster classes, moldable starts are
+	// priced by the slowest class a candidate width would receive, job
+	// allocations keep a fast-first order so tail shrinks release the
+	// slowest nodes, and the selectdmr class policy prices expansions
+	// by the class of the nodes they would add (declining those that
+	// would drag the coupled step loop below its current throughput).
+	// Hard ReqClass constraints and soft PrefClass affinities on jobs
+	// are honored regardless of this switch.
+	ClassAware bool
+	// Elastic, when non-nil, attaches the elastic capacity controller:
+	// a periodic adapt loop provisions and decommissions nodes against
+	// the configured Min/Max envelope, powered-off nodes pay a full boot
+	// on provision, and EASY reservations pre-boot the blocked job's
+	// sleeping nodes (wake-ahead). Needs the energy accountant.
+	Elastic *ElasticConfig
+	// Migration, when non-nil, attaches the live-migration decision pass
+	// (migrate.go): a periodic pick over the running jobs relocates one
+	// job at a time onto a different machine class through a modeled
+	// checkpoint/restart cycle, to evacuate throttled nodes, clean up
+	// class-straddling placements, or consolidate sparse load so vacated
+	// racks power down. Requires a Policy implementing MigrationPicker
+	// (the selectdmr plug-ins do).
+	Migration *MigrationConfig
+	// Telemetry, when non-nil, attaches the deterministic telemetry sink:
+	// sim-time trace spans, the metrics registry, and the wall-clock
+	// profiling registry. Nil (the default) compiles every hook down to
+	// one pointer check.
+	Telemetry *telemetry.Sink
+	// EventLogCap bounds the retained Events slice: when positive, only
+	// (at least) the last EventLogCap events are kept. Subscribers
+	// registered with SubscribeEvents still observe every event, and
+	// TotalEvents counts them all. 0 retains everything.
+	EventLogCap int
+}
+
+// Validate reports the first feature setting the controller cannot
+// honour. It is the one validation point for Features: NewController
+// panics on its error, and entry points taking user input reach it
+// through core.Config.Validate.
+func (f Features) Validate() error {
+	switch {
+	case f.PowerCapW < 0:
+		return fmt.Errorf("slurm: negative power cap %v W", f.PowerCapW)
+	case f.EventLogCap < 0:
+		return fmt.Errorf("slurm: negative event log cap %d", f.EventLogCap)
+	case f.Elastic != nil && f.Elastic.Min < 0:
+		return fmt.Errorf("slurm: negative elastic minimum %d", f.Elastic.Min)
+	case f.Elastic != nil && f.Elastic.Max != 0 && f.Elastic.Max < f.Elastic.Min:
+		return fmt.Errorf("slurm: elastic envelope %d:%d is inverted", f.Elastic.Min, f.Elastic.Max)
+	}
+	return ValidateLadder(f.SleepLadder)
+}
+
 // Config tunes the controller.
 type Config struct {
+	Features
 	// SchedDelay is the reaction latency between a state change and the
 	// scheduling pass it triggers (slurmctld event handling latency).
 	SchedDelay sim.Time
-	// Backfill enables EASY backfill in every scheduling pass (the
-	// paper's Slurm ran the backfill scheduler).
-	Backfill bool
 	// Policy decides reconfiguration requests (nil disables DMR).
 	Policy SelectPlugin
 	// RPCService is the controller-side service time of one
@@ -34,49 +110,6 @@ type Config struct {
 	// only because simbench sets it, and goes when simbench next changes;
 	// new code sets SleepLadder.
 	IdleSleep sim.Time
-	// SleepLadder, when non-empty, sends idle nodes down a deepening
-	// ladder of S-states: a node idle for rung.AfterIdle sinks to
-	// rung.State, stepping deeper the longer it stays idle. Rungs must
-	// have strictly increasing AfterIdle and State (deeper rungs draw
-	// less but wake slower — allocating a laddered node pays the wake
-	// latency of the rung it actually occupies, so energy-aware
-	// backfill's wake pricing and the allocator's awake-first
-	// preference face a real gradient).
-	// Requires Energy.
-	SleepLadder []SleepRung
-	// PowerCapW bounds the instantaneous cluster draw (facility power
-	// budget). Before each start the controller projects the new
-	// allocation's draw and, when it would breach the cap, first
-	// throttles running jobs' nodes to deeper P-states (youngest job
-	// first), then starts the new job itself below P0, and finally
-	// defers the start — the cap-blocked job becomes the backfill
-	// reservation holder. Requires Energy; 0 disables capping.
-	PowerCapW float64
-	// ClassAware makes placement machine-class aware on heterogeneous
-	// fleets: allocations prefer faster classes, moldable starts are
-	// priced by the slowest class a candidate width would receive, job
-	// allocations keep a fast-first order so tail shrinks release the
-	// slowest nodes, and the selectdmr class policy prices expansions
-	// by the class of the nodes they would add. Hard ReqClass
-	// constraints and soft PrefClass affinities on jobs are honored
-	// regardless of this switch.
-	ClassAware bool
-	// Telemetry, when non-nil, attaches the deterministic telemetry sink:
-	// sim-time trace spans, the metrics registry, and the wall-clock
-	// profiling registry. Nil (the default) compiles every hook down to
-	// one pointer check.
-	Telemetry *telemetry.Sink
-	// EventLogCap bounds the retained Events slice: when positive, only
-	// (at least) the last EventLogCap events are kept. Subscribers
-	// registered with SubscribeEvents still observe every event, and
-	// TotalEvents counts them all. 0 retains everything.
-	EventLogCap int
-	// Elastic, when non-nil, attaches the elastic capacity controller:
-	// a periodic adapt loop provisions and decommissions nodes against
-	// the configured Min/Max envelope, powered-off nodes pay a full boot
-	// on provision, and EASY reservations pre-boot the blocked job's
-	// sleeping nodes (wake-ahead). Requires Energy.
-	Elastic *ElasticConfig
 	// Faults, when non-nil, attaches the fault-injection model: per-node
 	// crash chains drawn from the model's MTBF distribution, repairs
 	// after its MTTR, and (under Elastic) provision boot failures with
@@ -85,20 +118,13 @@ type Config struct {
 	// the controller runs the recovery paths (requeue or the runtime's
 	// shrink-to-survive). Requires Energy.
 	Faults FaultModel
-	// Migration, when non-nil, attaches the live-migration decision pass
-	// (migrate.go): a periodic pick over the running jobs relocates one
-	// job at a time onto a different machine class through a modeled
-	// checkpoint/restart cycle. Requires a Policy implementing
-	// MigrationPicker.
-	Migration *MigrationConfig
 }
 
-// DefaultConfig mirrors the paper's Slurm setup: backfill scheduling with
-// multifactor priorities at defaults.
+// DefaultConfig mirrors the paper's Slurm setup: EASY backfill
+// scheduling (always on) with multifactor priorities at defaults.
 func DefaultConfig() Config {
 	return Config{
 		SchedDelay: 100 * sim.Millisecond,
-		Backfill:   true,
 		RPCService: 100 * sim.Millisecond,
 	}
 }
@@ -229,16 +255,11 @@ func ValidateLadder(ladder []SleepRung) error {
 
 // NewController builds a controller over the cluster's nodes.
 func NewController(c *platform.Cluster, cfg Config) *Controller {
-	if cfg.PowerCapW > 0 && cfg.Energy == nil {
-		panic("slurm: PowerCapW requires an energy accountant")
+	if err := cfg.Features.Validate(); err != nil {
+		panic(err)
 	}
-	if len(cfg.SleepLadder) > 0 {
-		if cfg.Energy == nil {
-			panic("slurm: SleepLadder requires an energy accountant")
-		}
-		if err := ValidateLadder(cfg.SleepLadder); err != nil {
-			panic(err)
-		}
+	if cfg.Energy == nil && (len(cfg.SleepLadder) > 0 || cfg.IdleSleep > 0 || cfg.PowerCapW > 0 || cfg.Elastic != nil || cfg.Faults != nil) {
+		panic("slurm: sleep ladder, idle sleep, power cap, elastic and faults require an energy accountant")
 	}
 	ctl := &Controller{
 		cluster:   c,
@@ -255,13 +276,13 @@ func NewController(c *platform.Cluster, cfg Config) *Controller {
 	}
 	// Normalize the sleep configuration into one ladder: the IdleSleep
 	// shorthand is a one-rung S0 ladder.
+	switch {
+	case len(cfg.SleepLadder) > 0:
+		ctl.ladder = cfg.SleepLadder
+	case cfg.IdleSleep > 0:
+		ctl.ladder = []SleepRung{{AfterIdle: cfg.IdleSleep}}
+	}
 	if cfg.Energy != nil {
-		switch {
-		case len(cfg.SleepLadder) > 0:
-			ctl.ladder = cfg.SleepLadder
-		case cfg.IdleSleep > 0:
-			ctl.ladder = []SleepRung{{AfterIdle: cfg.IdleSleep}}
-		}
 		cfg.Energy.OnThermal = ctl.onThermal
 	}
 	if cfg.Telemetry != nil {

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/energy"
+	"repro/internal/faults"
 	"repro/internal/platform"
 	"repro/internal/sim"
 )
@@ -343,5 +345,39 @@ func TestEventsLogCoherent(t *testing.T) {
 	}
 	if fmt.Sprint(kinds) != "[SUBMIT START END]" {
 		t.Fatalf("event log %v", kinds)
+	}
+}
+
+// NewController is the one validation point for the controller's
+// features: each feature that runs on the energy accountant's meters,
+// set without one, panics — IdleSleep included, which used to be
+// silently ignored — and so does any setting Features.Validate refuses.
+func TestNewControllerRejectsBadFeatures(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*Config, *platform.Cluster)
+	}{
+		{"sleep ladder", func(c *Config, _ *platform.Cluster) { c.SleepLadder = DefaultSleepLadder() }},
+		{"idle sleep", func(c *Config, _ *platform.Cluster) { c.IdleSleep = 30 * sim.Second }},
+		{"power cap", func(c *Config, _ *platform.Cluster) { c.PowerCapW = 1000 }},
+		{"elastic", func(c *Config, _ *platform.Cluster) { c.Elastic = &ElasticConfig{Min: 1} }},
+		{"faults", func(c *Config, _ *platform.Cluster) { c.Faults = faults.New(faults.Config{MTBF: sim.Hour}) }},
+		{"inverted elastic envelope", func(c *Config, cl *platform.Cluster) {
+			c.Energy = energy.New(cl.K, cl.PowerProfiles())
+			c.Elastic = &ElasticConfig{Min: 2, Max: 1}
+		}},
+		{"negative event log cap", func(c *Config, _ *platform.Cluster) { c.EventLogCap = -1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("NewController accepted the configuration")
+				}
+			}()
+			cl := testCluster(2)
+			cfg := DefaultConfig()
+			tc.set(&cfg, cl)
+			NewController(cl, cfg)
+		})
 	}
 }

@@ -1,7 +1,6 @@
 package slurm
 
 import (
-	"fmt"
 	"math/bits"
 	"sort"
 
@@ -74,25 +73,17 @@ type elasticState struct {
 	preBootT   []sim.Time
 }
 
-// initElastic validates and attaches the elastic configuration. Called
-// from NewController before the initial sleep timers are armed: nodes
-// above Min start powered off, not napping.
+// initElastic attaches the (validated) elastic configuration, clamping
+// the envelope to the cluster. Called from NewController before the
+// initial sleep timers are armed: nodes above Min start powered off,
+// not napping.
 func (c *Controller) initElastic(cfg ElasticConfig) {
-	if c.cfg.Energy == nil {
-		panic("slurm: Elastic requires an energy accountant")
-	}
 	n := len(c.cluster.Nodes)
-	if cfg.Min < 0 {
-		panic(fmt.Sprintf("slurm: Elastic.Min %d is negative", cfg.Min))
-	}
 	if cfg.Min > n {
 		cfg.Min = n
 	}
 	if cfg.Max <= 0 || cfg.Max > n {
 		cfg.Max = n
-	}
-	if cfg.Max < cfg.Min {
-		panic(fmt.Sprintf("slurm: Elastic envelope %d:%d is inverted", cfg.Min, cfg.Max))
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 30 * sim.Second
@@ -242,7 +233,7 @@ func (c *Controller) elasticScaleUp(deficit int) {
 	}
 	booted := 0
 	for i := 0; i < len(c.cluster.Nodes) && booted < deficit; i++ {
-		if !e.offline[i] || c.drained[i] || !c.provisionable(i) {
+		if !e.offline[i] || c.drained[i] || !c.provisionable(i) || !c.capBootFits(c.cluster.Nodes[i]) {
 			continue
 		}
 		c.provisionNode(c.cluster.Nodes[i])
@@ -405,6 +396,12 @@ func (c *Controller) preBoot(n *platform.Node, gen int) {
 		return
 	}
 	if c.cfg.Energy.State(i) != energy.Sleeping {
+		return
+	}
+	if !c.capBootFits(n) {
+		// No headroom for the boot now: disarm so a later pass may
+		// re-arm it (the reservation's own start wakes it otherwise).
+		c.elastic.preBootGen[i] = -1
 		return
 	}
 	w := c.cfg.Energy.StartBoot(i)

@@ -93,9 +93,6 @@ type faultState struct {
 // after the elastic controller (if any) is attached, so the initial
 // draws happen in node index order regardless of configuration.
 func (c *Controller) initFaults() {
-	if c.cfg.Energy == nil {
-		panic("slurm: Faults requires an energy accountant")
-	}
 	n := len(c.cluster.Nodes)
 	c.faults = &faultState{
 		model:         c.cfg.Faults,
@@ -248,6 +245,7 @@ func (c *Controller) finishRepair(i int) {
 	f.failedOut--
 	c.cfg.Energy.FinishRepair(i)
 	c.logNode(EvRepair, n, 0)
+	c.capEnforce() // the node returns at idle draw, admitted or not
 	if c.drained[i] {
 		// Repaired but held out of service: back to the drain books.
 		c.drainedUnheld++

@@ -45,6 +45,8 @@ var invConfigs = []invConfig{
 	{name: "faults+elastic+ladder", faults: true, elastic: true, ladder: true},
 	{name: "migration", migration: true},
 	{name: "migration+elastic+ladder", migration: true, elastic: true, ladder: true},
+	{name: "powercap+elastic", powercap: true, elastic: true},
+	{name: "powercap+faults", powercap: true, faults: true},
 }
 
 // invMigPicker is the fuzz harness's migration policy: move any

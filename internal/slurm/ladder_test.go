@@ -152,18 +152,6 @@ func TestLegacySleepConfigIsOneRungLadder(t *testing.T) {
 	}
 }
 
-func TestSleepLadderRequiresEnergy(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SleepLadder without an accountant did not panic")
-		}
-	}()
-	cl := testCluster(1)
-	cfg := DefaultConfig()
-	cfg.SleepLadder = []SleepRung{{AfterIdle: 10 * sim.Second, State: 0}}
-	NewController(cl, cfg)
-}
-
 // thermalCluster builds a cluster whose nodes carry the test envelope
 // (τ=200 s, throttle 95 °C, restore 70 °C; P0 equilibrates at 107.5 °C
 // and P1 at 90 °C).

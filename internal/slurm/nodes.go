@@ -43,6 +43,7 @@ func (c *Controller) DrainNode(index int) error {
 			c.bootUntil[index] = c.k.Now() + w
 			c.logNode(EvWake, n, 0)
 			c.scheduleBootDone(n)
+			c.capEnforce() // maintenance cannot wait for headroom
 		}
 	}
 	return nil

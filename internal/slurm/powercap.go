@@ -21,7 +21,7 @@ import (
 const powerSlack = 1e-9
 
 // capped reports whether power capping is active.
-func (c *Controller) capped() bool { return c.cfg.PowerCapW > 0 && c.cfg.Energy != nil }
+func (c *Controller) capped() bool { return c.cfg.PowerCapW > 0 }
 
 // allocDeltaW projects the rise in cluster draw from activating nodes at
 // P-state ps, given their current (idle or sleeping) draw.
@@ -31,6 +31,18 @@ func (c *Controller) allocDeltaW(nodes []*platform.Node, ps int) float64 {
 		d += n.Power.ActiveW(ps) - c.cfg.Energy.NodePowerW(n.Index)
 	}
 	return d
+}
+
+// capBootFits reports whether starting node n's boot — a transition at
+// P0 active draw — keeps the cluster under the cap. The adapt loop's
+// boots (provisions and wake-ahead pre-boots) are optional and only
+// start when it holds; a deferred boot retries on a later tick.
+func (c *Controller) capBootFits(n *platform.Node) bool {
+	if !c.capped() {
+		return true
+	}
+	delta := n.Power.ActiveW(0) - c.cfg.Energy.NodePowerW(n.Index)
+	return c.cfg.Energy.TotalPowerW()+delta <= c.cfg.PowerCapW+powerSlack
 }
 
 // deepestPState returns the deepest P-state index any of the nodes
@@ -226,10 +238,11 @@ func (c *Controller) jobSpeed(j *Job) float64 {
 // capEnforce sheds watts until the cluster is back under the cap,
 // stepping running jobs' nodes deeper youngest-first — the reactive
 // counterpart of capAdmit for draw that rises outside admission
-// control, i.e. a thermal restore lifting a node's P-state floor while
-// its job runs. Best effort: when every job already sits at its deepest
-// state the excess stands (the same residual the admission path accepts
-// for already-running work).
+// control and cannot wait: a thermal restore lifting a node's P-state
+// floor while its job runs, a repaired node returning at idle draw, or
+// a drained node waking for maintenance. Best effort: when every job
+// already sits at its deepest state the excess stands (the same
+// residual the admission path accepts for already-running work).
 func (c *Controller) capEnforce() {
 	if !c.capped() {
 		return

@@ -9,8 +9,8 @@ import (
 // migration. The controller's decision pass hands the policy a
 // read-only MigrateView and asks for at most one move; the policy
 // answers with a (job, destination class, reason, cost) tuple only when
-// the projected gain clears Margin times the modeled checkpoint/restart
-// price. Three reasons, tried in order per candidate:
+// the projected gain clears slurm.MigrationMargin times the modeled
+// checkpoint/restart price. Three reasons, tried in order per candidate:
 //
 //   - evacuate: the job runs below its allocation classes' nominal P0
 //     speed (a thermal floor is binding). Moving to a cooler class
@@ -24,8 +24,8 @@ import (
 //     class onto the efficiency class when the joules saved clear the
 //     margin, so the vacated rack can ride the sleep ladder down to
 //     power-off. Consolidation trades the job's speed for fleet watts;
-//     the MaxSlowdown cap bounds how much of the job's pace it may
-//     give up.
+//     the slurm.MigrationMaxSlowdown cap bounds how much of the job's
+//     pace it may give up.
 //
 // Candidates arrive in ID order and classes in node index order, so the
 // pick is deterministic.
@@ -111,7 +111,7 @@ func pickEvacuate(v *slurm.MigrateView, j *slurm.Job, src []string, live float64
 		}
 		cost := v.MoveCost(j, need)
 		saved := rem - stretched(rem, live, dstSpeed)
-		if float64(saved) > v.Margin()*float64(cost) {
+		if float64(saved) > slurm.MigrationMargin*float64(cost) {
 			return slurm.MigrationDecision{Job: j, Class: dst, Reason: "evacuate", Cost: cost}, true
 		}
 	}
@@ -135,7 +135,7 @@ func pickDefragment(v *slurm.MigrateView, j *slurm.Job, src []string, live float
 		}
 		cost := v.MoveCost(j, need)
 		saved := rem - stretched(rem, live, dstSpeed)
-		if float64(saved) > v.Margin()*float64(cost) {
+		if float64(saved) > slurm.MigrationMargin*float64(cost) {
 			return slurm.MigrationDecision{Job: j, Class: dst, Reason: "defragment", Cost: cost}, true
 		}
 	}
@@ -147,7 +147,7 @@ func pickDefragment(v *slurm.MigrateView, j *slurm.Job, src []string, live float
 // is in joules — remaining draw on the current allocation versus the
 // stretched remainder on the destination, with the C/R window charged
 // at the current allocation's draw — and the slowdown the move imposes
-// is capped at MaxSlowdown.
+// is capped at slurm.MigrationMaxSlowdown.
 func pickConsolidate(v *slurm.MigrateView, j *slurm.Job, src []string, live float64, rem sim.Time, need int) (slurm.MigrationDecision, bool) {
 	if len(src) != 1 {
 		return slurm.MigrationDecision{}, false
@@ -157,7 +157,7 @@ func pickConsolidate(v *slurm.MigrateView, j *slurm.Job, src []string, live floa
 			continue
 		}
 		dstSpeed := v.ClassSpeed(dst)
-		if dstSpeed <= 0 || live > dstSpeed*v.MaxSlowdown() {
+		if dstSpeed <= 0 || live > dstSpeed*slurm.MigrationMaxSlowdown {
 			continue // would give up more pace than the cap allows
 		}
 		if v.ClassTotal(dst) < need || v.FreeOfClass(dst) < need {
@@ -168,7 +168,7 @@ func pickConsolidate(v *slurm.MigrateView, j *slurm.Job, src []string, live floa
 		curJ := rem.Seconds() * v.AllocActiveW(j)
 		newJ := after.Seconds() * float64(need) * v.ClassActiveW(dst)
 		costJ := cost.Seconds() * v.AllocActiveW(j)
-		if curJ-newJ > v.Margin()*costJ {
+		if curJ-newJ > slurm.MigrationMargin*costJ {
 			return slurm.MigrationDecision{Job: j, Class: dst, Reason: "consolidate", Cost: cost}, true
 		}
 	}
