@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 	"sort"
 )
@@ -74,9 +75,13 @@ func (h *eventHeap) pop() event {
 }
 
 // Kernel is a discrete-event simulation engine. All access must come from
-// the goroutine that calls Run (kernel context) or from the single process
-// the kernel is currently executing; the kernel enforces this serialization
-// itself, so no further locking is required by users.
+// the caller of Run, Step or RunUntil (kernel context) or from the single
+// process the kernel is currently executing. Each process runs on a
+// coroutine the kernel resumes and that hands control back when it
+// blocks, so exactly one of them runs at a time and no further locking
+// is required by users. Dispatching a process while another one runs
+// (a Run, Step or RunUntil from process context) or blocking a process
+// from anywhere but its own context panics.
 type Kernel struct {
 	now Time
 	seq uint64
@@ -90,8 +95,9 @@ type Kernel struct {
 	queue   eventHeap
 	imm     []event
 	immHead int
-	yielded chan struct{}
 
+	running  *Proc        // process being executed, nil in kernel context
+	idle     []*coroutine // coroutines free for the next Spawn
 	nextPID  int64
 	live     map[int64]*Proc
 	stopped  bool
@@ -111,10 +117,7 @@ type procPanic struct {
 
 // NewKernel returns an empty kernel at virtual time zero.
 func NewKernel() *Kernel {
-	return &Kernel{
-		yielded: make(chan struct{}),
-		live:    make(map[int64]*Proc),
-	}
+	return &Kernel{live: make(map[int64]*Proc)}
 }
 
 // Now returns the current virtual time.
@@ -183,7 +186,7 @@ func (k *Kernel) run(keep func(event) bool) {
 	for !k.stopped {
 		ev, ok := k.peek()
 		if !ok || !keep(ev) {
-			return
+			break
 		}
 		k.popNext()
 		k.now = ev.t
@@ -193,6 +196,9 @@ func (k *Kernel) run(keep func(event) bool) {
 			f := k.fatal
 			panic(fmt.Sprintf("sim: process %q panicked: %v\n%s", f.proc, f.value, f.stack))
 		}
+	}
+	if k.Idle() {
+		k.releaseIdle()
 	}
 }
 
@@ -245,16 +251,22 @@ func (k *Kernel) LiveProcs() []string {
 }
 
 // dispatch transfers control to p until it blocks or exits. It must only
-// be called from kernel context (inside an event fn).
+// be called from kernel context (inside an event fn); a dispatch while a
+// process is running means the kernel was re-entered from that process.
 func (k *Kernel) dispatch(p *Proc, w wake) {
 	if p.done {
 		return
 	}
+	if r := k.running; r != nil {
+		panic(fmt.Sprintf("sim: process %q dispatched while process %q is running: Run, Step and RunUntil must not be called from process context", p.name, r.name))
+	}
 	if k.Trace != nil {
 		k.Trace(k.now, p.name)
 	}
-	p.resume <- w
-	<-k.yielded
+	p.wake = w
+	k.running = p
+	p.co.next()
+	k.running = nil
 }
 
 var exitSentinel = new(int)
@@ -262,28 +274,83 @@ var exitSentinel = new(int)
 // Spawn creates a simulated process named name running fn, scheduled to
 // start at the current virtual time. fn runs in process context and may
 // block. When fn returns (or calls Proc.Exit) the process terminates.
+// Spawn only binds fn to a coroutine, so it may be called from kernel
+// or process context; fn first runs at the process's first dispatch.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	k.nextPID++
-	p := &Proc{k: k, id: k.nextPID, name: name, resume: make(chan wake)}
+	p := &Proc{k: k, id: k.nextPID, name: name, body: fn}
 	k.live[p.id] = p
-	go func() {
-		<-p.resume // wait for the first dispatch
-		defer func() {
-			r := recover()
-			if r != nil && r != exitSentinel {
-				k.fatal = &procPanic{proc: p.name, value: r, stack: debug.Stack()}
-			}
-			p.done = true
-			delete(k.live, p.id)
-			fns := p.exitFns
-			p.exitFns = nil
-			for _, f := range fns {
-				f()
-			}
-			k.yielded <- struct{}{}
-		}()
-		fn(p)
-	}()
+	if n := len(k.idle); n > 0 {
+		p.co = k.idle[n-1]
+		k.idle = k.idle[:n-1]
+	} else {
+		p.co = k.newCoroutine()
+	}
+	p.co.p = p
 	k.schedule(k.now, func() { k.dispatch(p, wake{}) })
 	return p
+}
+
+// coroutine is an iter.Pull coroutine that runs process bodies one
+// after another: when a body ends it parks on the kernel's idle list
+// until Spawn hands it the next one. Reuse keeps Spawn to two
+// allocations, and keeps a finished process from ending a coroutine
+// goroutine: under Go 1.24's race detector every ended coroutine leaks
+// its race state (runtime.coroexit skips racegoend), which ran the
+// experiments tests out of memory.
+type coroutine struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	p     *Proc // process it runs, nil while idle
+}
+
+func (k *Kernel) newCoroutine() *coroutine {
+	c := &coroutine{}
+	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
+		for {
+			c.p.run()
+			c.p = nil
+			k.idle = append(k.idle, c)
+			if !yield(struct{}{}) {
+				return // released by releaseIdle
+			}
+		}
+	})
+	return c
+}
+
+// releaseIdle ends every idle coroutine once the calendar has drained,
+// so a finished run leaves no goroutine behind. Processes still blocked
+// keep theirs, and LiveProcs reports them.
+func (k *Kernel) releaseIdle() {
+	for _, c := range k.idle {
+		c.stop()
+	}
+	clear(k.idle)
+	k.idle = k.idle[:0]
+}
+
+// run executes p's body in p's context. The body recovers its own
+// panics: iter.Pull would re-raise them in the kernel, bypassing the
+// Exit sentinel and the k.fatal report. OnExit functions run here,
+// before control returns to the kernel.
+func (p *Proc) run() {
+	k, body := p.k, p.body
+	p.body = nil // a finished Proc must not pin its closure
+	defer func() {
+		r := recover()
+		if r != nil && r != exitSentinel {
+			k.fatal = &procPanic{proc: p.name, value: r, stack: debug.Stack()}
+		}
+		p.done = true
+		delete(k.live, p.id)
+		fns := p.exitFns
+		p.exitFns = nil
+		for _, f := range fns {
+			f()
+		}
+	}()
+	body(p)
 }

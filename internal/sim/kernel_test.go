@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -418,5 +419,166 @@ func TestManyProcsStress(t *testing.T) {
 	k.Run()
 	if done != n {
 		t.Fatalf("finished %d, want %d", done, n)
+	}
+}
+
+// mustPanic runs f and returns the text of the panic it raises.
+func mustPanic(t *testing.T, f func()) (msg string) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("expected a panic")
+		}
+		msg = fmt.Sprint(r)
+	}()
+	f()
+	return ""
+}
+
+func TestKernelContextMisusePanics(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func(k *Kernel)
+		want  []string // substrings of the panic message
+	}{
+		{
+			name: "victim.Sleep from an event fn",
+			build: func(k *Kernel) {
+				s := NewSignal(k)
+				victim := k.Spawn("victim", func(p *Proc) { s.Wait(p) })
+				k.At(Second, func() { victim.Sleep(Second) })
+			},
+			want: []string{`process "victim" blocked outside its own context`},
+		},
+		{
+			name: "victim.Sleep from another process",
+			build: func(k *Kernel) {
+				s := NewSignal(k)
+				victim := k.Spawn("victim", func(p *Proc) { s.Wait(p) })
+				k.Spawn("intruder", func(p *Proc) { victim.Sleep(Second) })
+			},
+			want: []string{`process "intruder" panicked`, `process "victim" blocked outside its own context`},
+		},
+		{
+			name: "k.Step from inside a process",
+			build: func(k *Kernel) {
+				k.Spawn("nester", func(p *Proc) { k.Step() })
+				k.Spawn("other", func(p *Proc) {})
+			},
+			want: []string{`process "other" dispatched while process "nester" is running`},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			k := NewKernel()
+			tc.build(k)
+			msg := mustPanic(t, k.Run)
+			for _, w := range tc.want {
+				if !strings.Contains(msg, w) {
+					t.Errorf("panic %q does not contain %q", msg, w)
+				}
+			}
+		})
+	}
+}
+
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := NewKernel()
+	spawn := func(i int) {
+		k.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+			p.Sleep(Time(i%7) * Millisecond)
+			if i%3 == 0 {
+				p.Exit()
+			}
+			p.Yield()
+		})
+	}
+	for i := 0; i < 500; i++ {
+		spawn(i)
+	}
+	// A second wave after the first has finished runs on its coroutines.
+	k.At(Second, func() {
+		for i := 500; i < 1000; i++ {
+			spawn(i)
+		}
+	})
+	k.Run()
+	if live := k.LiveProcs(); len(live) != 0 {
+		t.Fatalf("%d processes still live", len(live))
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("goroutines: %d before the kernel, %d after Run", before, after)
+	}
+}
+
+func TestSpawnFromProcessRunsAfterQueuedEvents(t *testing.T) {
+	k := NewKernel()
+	var order []string
+	k.At(Second, func() { order = append(order, "event") })
+	k.Spawn("parent", func(p *Proc) {
+		p.Sleep(Second)
+		order = append(order, "parent")
+		k.Spawn("child", func(c *Proc) {
+			order = append(order, fmt.Sprintf("child@%v", c.Now().Seconds()))
+		})
+		order = append(order, "parent after Spawn")
+	})
+	k.Spawn("sibling", func(p *Proc) {
+		p.Sleep(Second)
+		order = append(order, "sibling")
+	})
+	k.Run()
+	want := "[event parent parent after Spawn sibling child@1]"
+	if got := fmt.Sprint(order); got != want {
+		t.Fatalf("order %s, want %s", got, want)
+	}
+}
+
+func TestOnExitRunsOnEveryExitPath(t *testing.T) {
+	cases := []struct {
+		name   string
+		body   func(p *Proc)
+		kill   bool // killed by an event at 1s while blocked
+		panics bool
+	}{
+		{name: "return", body: func(p *Proc) {}},
+		{name: "Exit", body: func(p *Proc) { p.Exit() }},
+		{name: "Kill", body: func(p *Proc) { NewSignal(p.Kernel()).Wait(p) }, kill: true},
+		{name: "panic", body: func(p *Proc) { panic("boom") }, panics: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			k := NewKernel()
+			var order []string
+			next := func() { order = append(order, "next event") }
+			victim := k.Spawn("victim", func(p *Proc) {
+				p.OnExit(func() { order = append(order, "exit1") })
+				p.OnExit(func() { order = append(order, "exit2") })
+				if !tc.kill {
+					k.At(p.Now(), next)
+				}
+				tc.body(p)
+			})
+			if tc.kill {
+				k.At(Second, func() {
+					victim.Kill()
+					k.At(k.Now(), next)
+				})
+			}
+			want := "[exit1 exit2 next event]"
+			if tc.panics {
+				if msg := mustPanic(t, k.Run); !strings.Contains(msg, "boom") {
+					t.Fatalf("panic %q does not carry the process's panic", msg)
+				}
+				want = "[exit1 exit2]"
+			} else {
+				k.Run()
+			}
+			if got := fmt.Sprint(order); got != want {
+				t.Fatalf("order %s, want %s", got, want)
+			}
+		})
 	}
 }

@@ -1,5 +1,7 @@
 package sim
 
+import "fmt"
+
 // wake carries the reason a blocked process was resumed.
 type wake struct {
 	val     any
@@ -7,13 +9,17 @@ type wake struct {
 	killed  bool
 }
 
-// Proc is a simulated process. All methods must be called from the
-// process's own goroutine (process context) unless documented otherwise.
+// Proc is a simulated process: its body runs on a coroutine (iter.Pull)
+// that the kernel resumes at each dispatch and that yields back whenever
+// it blocks. All methods must be called from the process's own context
+// unless documented otherwise.
 type Proc struct {
 	k       *Kernel
 	id      int64
 	name    string
-	resume  chan wake
+	body    func(p *Proc)
+	co      *coroutine // runs body; reused by a later Spawn once done
+	wake    wake       // reason for the pending resume, set by dispatch
 	done    bool
 	killed  bool
 	exitFns []func()
@@ -30,10 +36,15 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 func (p *Proc) Now() Time { return p.k.now }
 
 // block yields control to the kernel and waits to be resumed. If the
-// process was killed while blocked, it unwinds immediately.
+// process was killed while blocked, it unwinds immediately. Only the
+// running process may block itself.
 func (p *Proc) block() wake {
-	p.k.yielded <- struct{}{}
-	w := <-p.resume
+	if p.k.running != p {
+		panic(fmt.Sprintf("sim: process %q blocked outside its own context", p.name))
+	}
+	p.co.yield(struct{}{})
+	w := p.wake
+	p.wake = wake{} // release the woken value
 	if w.killed || p.killed {
 		panic(exitSentinel)
 	}
@@ -60,8 +71,10 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // functions registered with OnExit do run.
 func (p *Proc) Exit() { panic(exitSentinel) }
 
-// OnExit registers fn to run in kernel-adjacent context when the process
-// terminates for any reason. fn must not block; it may schedule events.
+// OnExit registers fn to run when the process terminates for any reason.
+// The functions run in registration order, in the process's own context,
+// before control returns to the kernel. fn must not block; it may
+// schedule events.
 // Safe to call from any context before the process exits.
 func (p *Proc) OnExit(fn func()) { p.exitFns = append(p.exitFns, fn) }
 

@@ -1,8 +1,8 @@
 // Package sim implements a deterministic process-oriented discrete-event
 // simulation kernel.
 //
-// Simulated processes are goroutines that cooperate with the kernel through
-// a strict handshake: exactly one process runs at a time, and control
+// Simulated processes run on coroutines (iter.Pull) that the kernel
+// resumes one at a time: exactly one process runs at a time, and control
 // returns to the kernel whenever a process blocks (Sleep, Signal.Wait,
 // Queue.Pop, Resource.Acquire) or exits. Events are ordered by
 // (virtual time, sequence number), so two runs of the same program produce

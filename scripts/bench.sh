@@ -19,14 +19,17 @@ if [ -n "$profile" ]; then
 fi
 sched=$(go test -run xxx -bench 'BenchmarkSchedulerThroughput$' -benchtime 1x -timeout 1h "${prof_args[@]}" . | grep '^BenchmarkSchedulerThroughput')
 kernel=$(go test -run xxx -bench 'BenchmarkKernelEventRate$' -benchtime 2000000x . | grep '^BenchmarkKernelEventRate')
+# Process handoff on its own, at one P like every simbench simulation.
+handoff=$(go test -run xxx -bench 'BenchmarkContextSwitch$' -benchtime 1000000x -cpu 1 ./internal/sim | grep '^BenchmarkContextSwitch')
 
 # Bench lines look like:
 #   BenchmarkSchedulerThroughput  1  428994330 ns/op  295427 events/s  11655 jobs/s
 #   BenchmarkKernelEventRate  2000000  14.61 ns/op  68429668 events/s
+#   BenchmarkContextSwitch  1000000  812.3 ns/op
 # Metrics are located by the unit name that follows them (the value is
 # the preceding field), so added metrics or -benchmem cannot silently
 # shift the columns.
-awk -v sched="$sched" -v kernel="$kernel" '
+awk -v sched="$sched" -v kernel="$kernel" -v handoff="$handoff" '
 function metric(line, unit,    f, n) {
   n = split(line, f)
   for (i = 2; i <= n; i++) if (f[i] == unit) return f[i-1]
@@ -37,8 +40,9 @@ BEGIN {
   printf "{\n"
   printf "  \"scheduler_throughput_1024n_5000j\": {\"ns_per_run\": %s, \"events_per_sec\": %s, \"jobs_per_sec\": %s},\n", \
     metric(sched, "ns/op"), metric(sched, "events/s"), metric(sched, "jobs/s")
-  printf "  \"kernel_event_rate\": {\"ns_per_event\": %s, \"events_per_sec\": %s}\n", \
+  printf "  \"kernel_event_rate\": {\"ns_per_event\": %s, \"events_per_sec\": %s},\n", \
     metric(kernel, "ns/op"), metric(kernel, "events/s")
+  printf "  \"kernel_handoff\": {\"ns_per_op\": %s}\n", metric(handoff, "ns/op")
   printf "}\n"
 }' > "$out"
 echo "wrote $out"
