@@ -127,8 +127,9 @@ func TestThermalThrottleAndRestore(t *testing.T) {
 	if f := a.ThermalFloor(0); f != 1 {
 		t.Fatalf("floor %d after crossing, want 1 (P1 settles below the envelope)", f)
 	}
-	if s := a.Speed(0); s != thermalProfile().SpeedAt(1) {
-		t.Fatalf("throttled speed %.2f, want P1's %.2f", s, thermalProfile().SpeedAt(1))
+	prof := thermalProfile()
+	if s := a.Speed(0); s != prof.SpeedAt(1) {
+		t.Fatalf("throttled speed %.2f, want P1's %.2f", s, prof.SpeedAt(1))
 	}
 	// P1 equilibrates at 90 °C — above restore, so the floor holds.
 	k.RunUntil(2 * sim.Hour)
@@ -231,8 +232,9 @@ func TestThermalFloorSurvivesReallocation(t *testing.T) {
 	if a.ThermalFloor(0) != 1 {
 		t.Fatal("reallocation reset the thermal floor")
 	}
-	if s := a.Speed(0); s != thermalProfile().SpeedAt(1) {
-		t.Fatalf("hot node runs the new job at %.2f, want the floor's %.2f", s, thermalProfile().SpeedAt(1))
+	prof := thermalProfile()
+	if s := a.Speed(0); s != prof.SpeedAt(1) {
+		t.Fatalf("hot node runs the new job at %.2f, want the floor's %.2f", s, prof.SpeedAt(1))
 	}
 }
 
@@ -310,8 +312,9 @@ func TestWakeIdleFromDeepRung(t *testing.T) {
 	k := sim.NewKernel()
 	a := New(k, Uniform(DefaultProfile(), 1))
 	a.NodeSleep(0, 1)
-	if w := a.WakeIdle(0); w != DefaultProfile().WakeLatency(1) {
-		t.Fatalf("wake latency %v, want the deep rung's %v", w, DefaultProfile().WakeLatency(1))
+	prof := DefaultProfile()
+	if w := a.WakeIdle(0); w != prof.WakeLatency(1) {
+		t.Fatalf("wake latency %v, want the deep rung's %v", w, prof.WakeLatency(1))
 	}
 	if a.State(0) != Idle || a.NodePowerW(0) != DefaultProfile().IdleW {
 		t.Fatalf("state %v at %.1f W after WakeIdle", a.State(0), a.NodePowerW(0))

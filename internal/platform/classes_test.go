@@ -111,8 +111,17 @@ func FuzzClassesPartition(f *testing.F) {
 				t.Fatalf("leftover node %d class %q, want base %q", idx, got, base.Class)
 			}
 		}
-		if fast := cl.ClassCount(energy.DefaultProfile().Class); fast > nodes {
-			t.Fatalf("ClassCount %d exceeds fleet %d", fast, nodes)
+		// ClassCount's construction-time tally matches a scan of the fleet.
+		for _, class := range []string{energy.DefaultProfile().Class, energy.EfficiencyProfile().Class, "no-such-class"} {
+			want := 0
+			for _, nd := range cl.Nodes {
+				if nd.Class() == class {
+					want++
+				}
+			}
+			if got := cl.ClassCount(class); got != want {
+				t.Fatalf("ClassCount(%q) = %d, want %d", class, got, want)
+			}
 		}
 	})
 }

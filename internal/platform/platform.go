@@ -139,6 +139,8 @@ type Cluster struct {
 	Nodes []*Node
 	Cfg   Config
 	PFS   *sim.Resource // shared parallel-filesystem service slots
+
+	classCount map[string]int // nodes per machine-class name
 }
 
 // New builds a cluster with cfg on a fresh simulation kernel.
@@ -159,7 +161,7 @@ func NewOn(k *sim.Kernel, cfg Config) *Cluster {
 	if len(cfg.Power.PStates) == 0 {
 		cfg.Power = energy.DefaultProfile()
 	}
-	c := &Cluster{K: k, Cfg: cfg, PFS: sim.NewResource(k, cfg.PFSConcurrent)}
+	c := &Cluster{K: k, Cfg: cfg, PFS: sim.NewResource(k, cfg.PFSConcurrent), classCount: make(map[string]int)}
 	classIdx, classLeft := 0, 0
 	if len(cfg.Classes) > 0 {
 		classLeft = cfg.Classes[0].Count
@@ -177,20 +179,14 @@ func NewOn(k *sim.Kernel, cfg Config) *Cluster {
 			classLeft--
 		}
 		c.Nodes = append(c.Nodes, &Node{Index: i, Name: fmt.Sprintf("node%03d", i), Cores: cfg.CoresPerNode, Power: power})
+		c.classCount[power.Class]++
 	}
 	return c
 }
 
 // ClassCount returns how many nodes belong to the named machine class.
-func (c *Cluster) ClassCount(class string) int {
-	n := 0
-	for _, nd := range c.Nodes {
-		if nd.Class() == class {
-			n++
-		}
-	}
-	return n
-}
+// The counts are taken once at construction: the node set is fixed.
+func (c *Cluster) ClassCount(class string) int { return c.classCount[class] }
 
 // PowerProfiles returns the per-node power models in node-index order,
 // the input an energy.Accountant needs.

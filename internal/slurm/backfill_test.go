@@ -127,3 +127,84 @@ func TestAllocatePrefersAwakeNodes(t *testing.T) {
 		t.Fatalf("%d wakes, want 0: sleeping nodes were allocated over awake ones", got)
 	}
 }
+
+// referenceBackfillEnd is backfillEnd without the per-pass launch
+// bounds: the worst wake latency and the slowest start speed recomputed
+// node by node over the reference allocation order.
+func referenceBackfillEnd(c *Controller, j *Job, n int) sim.Time {
+	var wake sim.Time
+	speed := 1.0
+	for _, nd := range referencePickNodes(c, j, n) {
+		if c.cfg.Energy != nil {
+			if w := c.wakePreview(nd); w > wake {
+				wake = w
+			}
+		}
+		if s := c.nodeStartSpeed(nd); s < speed {
+			speed = s
+		}
+	}
+	limit := j.TimeLimit
+	if speed > 0 && speed < 1 {
+		limit = sim.Time(float64(limit) / speed)
+	}
+	return c.k.Now() + wake + limit
+}
+
+// Launch bounds outlive neither their pass nor the state they read:
+// between two passes at the same pool version a free node descends a
+// sleep rung and a thermal floor clears, neither of which mutates the
+// pool, and the second pass must price both. Within a pass a warm order
+// answers backfillEnd without allocating.
+func TestLaunchBoundsFreshAcrossPasses(t *testing.T) {
+	cl := thermalCluster(4)
+	cfg := DefaultConfig()
+	cfg.Energy = energy.New(cl.K, cl.PowerProfiles())
+	cfg.SleepLadder = []SleepRung{{AfterIdle: 30 * sim.Second}, {AfterIdle: 300 * sim.Second, State: 1}}
+	c := NewController(cl, cfg)
+	a := c.Energy()
+	// The hot job throttles nodes 0 and 1 (≈377.5 s) and leaves them
+	// with a P1 floor at 1000 s; they doze off to S0 30 s later and
+	// cool through the restore threshold while asleep.
+	c.Submit(sleeperJob(c, "hot", 2, 1000*sim.Second))
+	// An oversized job pends forever, so every pass reaches backfill.
+	c.Submit(sleeperJob(c, "blocked", 5, sim.Hour))
+	probe := &Job{ReqNodes: 4, TimeLimit: 100 * sim.Second}
+	check := func(pass string) []sim.Time {
+		t.Helper()
+		c.schedulePass()
+		var got []sim.Time
+		for n := 0; n <= 4; n++ {
+			end, want := c.backfillEnd(probe, n), referenceBackfillEnd(c, probe, n)
+			if end != want {
+				t.Fatalf("%s: backfillEnd(n=%d) = %v, want %v", pass, n, end, want)
+			}
+			got = append(got, end-c.k.Now())
+		}
+		return got
+	}
+
+	cl.K.RunUntil(1031 * sim.Second)
+	if a.ThermalFloor(0) != 1 || a.State(0) != energy.Sleeping || a.SStateOf(0) != 0 {
+		t.Fatalf("node 0 at pass 1: floor %d, state %v S%d; want floor 1 asleep on S0",
+			a.ThermalFloor(0), a.State(0), a.SStateOf(0))
+	}
+	version := c.pool.version
+	first := check("pass 1")
+
+	cl.K.RunUntil(1301 * sim.Second)
+	if a.ThermalFloor(0) != 0 || a.SStateOf(0) != 1 {
+		t.Fatalf("node 0 at pass 2: floor %d, S%d; want the floor cleared on S1", a.ThermalFloor(0), a.SStateOf(0))
+	}
+	if c.pool.version != version {
+		t.Fatalf("pool version moved %d -> %d between the passes", version, c.pool.version)
+	}
+	second := check("pass 2")
+	if first[1] == second[1] {
+		t.Fatalf("one-node launch bound %v unchanged across the rung descent and the floor clearing", first[1])
+	}
+
+	if allocs := testing.AllocsPerRun(100, func() { c.backfillEnd(probe, 4) }); allocs != 0 {
+		t.Fatalf("backfillEnd on a warm order allocates %.1f times per call", allocs)
+	}
+}

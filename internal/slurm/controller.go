@@ -179,9 +179,10 @@ type Controller struct {
 	// migration is the live-migration state (nil: jobs never move).
 	migration *migrationState
 
-	// pick is the pass-scoped placement cache: pickNodes answers for one
-	// job at one pool version, shared by classClampSize, backfillEnd,
-	// capAdmit/capFits and startJob instead of four independent merges.
+	// pick is the placement cache: one affinity order per pickKey at the
+	// current pool version, whose prefixes answer every pickNodes call
+	// (classClampSize, backfillEnd, capAdmit/capFits, startJob) and
+	// whose per-pass launch bounds price every backfill candidate.
 	pick pickCache
 
 	// passQueue is a scratch buffer reused across scheduling passes to
@@ -537,32 +538,59 @@ func (c *Controller) pickAnchor(j *Job) (float64, bool) {
 	return min, true
 }
 
-// pickSig is everything about a job that a placement answer depends on:
-// its hard and soft class demands and its anchor class. Two pending jobs
-// with equal signatures receive identical picks, so the cache is keyed
-// by signature, not job — a backfill scan over thousands of candidates
-// collapses to one merge per (signature, width) between pool mutations.
-type pickSig struct {
+// pickKey fixes one affinity order (see pickNodes): the job's hard class
+// constraint, the soft preference in force — "" unless the whole width
+// fits in the preferred class — and the anchor class. At one free-pool
+// version the answer for every width n under one key is the first n
+// nodes of one order, so a single growing prefix serves a backfill
+// scan's thousands of candidates and all of their widths.
+type pickKey struct {
 	req, pref string
 	anchor    float64
 	anchored  bool
 }
 
-// pickCache memoizes pickNodes answers at one free-pool version. One
-// scheduling candidate probes the same width several times —
-// classClampSize, backfillEnd, capAdmit, then startJob — and a moldable
-// probe walks adjacent widths; every mutation that could change an
-// answer bumps the pool version and drops the cache. The handful of live
-// signatures and widths makes linear scans cheaper than maps.
-type pickCache struct {
-	version uint64
-	entries []pickEntry
+// pickOrder is one key's affinity order, merged as deep as the widest
+// answer asked for so far. The cache never writes nodes once built: an
+// answer is a capped prefix of it, and a deeper request re-merges into
+// a fresh array, so a slice handed out earlier never changes under its
+// holder. The one writer of an answer is its owner after allocation
+// (startJob's fast-first sort, a fault's compaction), by which time the
+// allocation's pool bump has retired the order.
+//
+// wake and speed are the order's launch bounds over its prefix, filled
+// lazily up to the widest bound read: wake[i] is the worst wakePreview
+// and speed[i] the slowest nodeStartSpeed among nodes[:i+1]. Both read
+// state that moves without a pool mutation — a free node descending a
+// sleep rung, a thermal floor cooling off, the clock running down a
+// boot — so they hold for one bounds generation (gen) only.
+type pickOrder struct {
+	key   pickKey
+	nodes []*platform.Node
+	gen   uint64
+	wake  []sim.Time
+	speed []float64
 }
 
-type pickEntry struct {
-	sig  pickSig
-	ns   []int
-	sets [][]*platform.Node
+// pickMinDepth is the shallowest order a merge materializes: narrow
+// widths probed one after another share one merge.
+const pickMinDepth = 32
+
+// pickCache holds the placement orders at one free-pool version. Every
+// mutation that could change an order bumps the pool version, which
+// drops them all; the handful of live keys makes a linear scan cheaper
+// than a map. gen is the launch-bound generation, advanced once per
+// scheduling pass before backfill reads a bound. Telemetry counts
+// answers: sched_pick_cache_hits_total one served from an existing
+// prefix, sched_pick_cache_misses_total one that needed a merge.
+type pickCache struct {
+	version uint64
+	gen     uint64
+	orders  []pickOrder
+
+	// Merge scratch, reused so that a merge allocates only its output.
+	ranked                 []tierClass
+	awake, booting, asleep []bitset
 }
 
 // pickNodes returns the n free nodes an allocation for job j would
@@ -585,98 +613,114 @@ type pickEntry struct {
 //  5. node-index order (determinism).
 //
 // Keys 1–3 are per-class properties and key 4 splits each class pool in
-// two, so instead of sorting the whole pool the pick orders the class
+// three, so instead of sorting the whole pool the pick orders the class
 // tiers and merges their index-sorted bitmaps — the same order the
-// stable affinity sort produced, at O(n) per answer.
+// stable affinity sort produced. The answer is a prefix of the cached
+// order for its pickKey, capped so that a caller's append reallocates
+// instead of writing into the shared array.
 func (c *Controller) pickNodes(j *Job, n int) []*platform.Node {
-	sig := pickSig{}
-	if j != nil {
-		sig.req, sig.pref = j.ReqClass, j.PrefClass
+	if o := c.pickOrder(j, n); o != nil {
+		return o.nodes[:n:n]
 	}
-	sig.anchor, sig.anchored = c.pickAnchor(j)
-	if c.pick.version != c.pool.version {
-		c.pick.version = c.pool.version
-		c.pick.entries = c.pick.entries[:0]
-	}
-	var e *pickEntry
-	for i := range c.pick.entries {
-		if c.pick.entries[i].sig == sig {
-			e = &c.pick.entries[i]
-			break
-		}
-	}
-	if e == nil {
-		c.pick.entries = append(c.pick.entries, pickEntry{sig: sig})
-		e = &c.pick.entries[len(c.pick.entries)-1]
-	}
-	for i, cached := range e.ns {
-		if cached == n {
-			if c.tel != nil {
-				c.tel.pickHits.Inc()
-			}
-			return e.sets[i]
-		}
-	}
-	if c.tel != nil {
-		c.tel.pickMisses.Inc()
-	}
-	nodes := c.pickNodesUncached(j, n, sig)
-	e.ns = append(e.ns, n)
-	e.sets = append(e.sets, nodes)
-	return nodes
+	return []*platform.Node{}
 }
 
-func (c *Controller) pickNodesUncached(j *Job, n int, sig pickSig) []*platform.Node {
-	elig := c.pool.eligibleClasses(j)
-	total := 0
-	for _, cp := range elig {
-		total += cp.count()
-	}
+// pickOrder returns the order whose first n nodes pickNodes(j, n)
+// answers with, merged at least n deep; nil for n == 0.
+func (c *Controller) pickOrder(j *Job, n int) *pickOrder {
+	total := c.pool.countFor(j)
 	if n > total {
 		panic(fmt.Sprintf("slurm: allocating %d of %d eligible free nodes", n, total))
 	}
 	if n == 0 {
-		return []*platform.Node{}
+		return nil
 	}
-	pref := ""
-	if sig.pref != "" && (sig.req == "" || sig.req == sig.pref) {
-		if cp := c.pool.byClass[sig.pref]; cp != nil && cp.count() >= n {
-			pref = sig.pref
+	if c.pick.version != c.pool.version {
+		c.pick.version = c.pool.version
+		c.pick.orders = c.pick.orders[:0]
+	}
+	var key pickKey
+	if j != nil {
+		key.req = j.ReqClass
+		if p := j.PrefClass; p != "" && (key.req == "" || key.req == p) {
+			if cp := c.pool.byClass[p]; cp != nil && cp.count() >= n {
+				key.pref = p
+			}
 		}
 	}
-	anchor, anchored := sig.anchor, sig.anchored
-	out := c.mergePick(elig, n, pref, anchor, anchored)
-	if c.cfg.ClassAware && !anchored && pref == "" {
-		// Fresh start without a preference: the cheapest-first pick
-		// fixes which classes the width must touch — out[n-1] is the
-		// priciest node it cannot avoid. Re-anchor to that class and
-		// re-merge, so a job that must dip beyond the efficiency class
-		// goes pure at the dip class instead of mixing: a mixed
-		// allocation runs every node at the slowest rank's pace, the
-		// worst point of the energy/makespan trade-off.
-		out = c.mergePick(elig, n, pref, out[n-1].Speed(), true)
+	key.anchor, key.anchored = c.pickAnchor(j)
+	merged := false
+	if c.cfg.ClassAware && !key.anchored && key.pref == "" {
+		// Fresh start without a preference: the cheapest-first order
+		// fixes which classes the width must touch — its n-th node is
+		// the priciest one the width cannot avoid. Re-anchor to that
+		// class, so a job that must dip beyond the efficiency class goes
+		// pure at the dip class instead of mixing: a mixed allocation
+		// runs every node at the slowest rank's pace, the worst point of
+		// the energy/makespan trade-off.
+		var o *pickOrder
+		o, merged = c.orderFor(pickKey{req: key.req}, j, n, total)
+		key.anchor, key.anchored = o.nodes[n-1].Speed(), true
 	}
-	return out
+	o, m := c.orderFor(key, j, n, total)
+	if c.tel != nil {
+		if merged || m {
+			c.tel.pickMisses.Inc()
+		} else {
+			c.tel.pickHits.Inc()
+		}
+	}
+	return o
 }
 
-// mergePick materializes the affinity order: class pools are ranked by
-// the job-specific keys (preference, anchor match, energy per work);
-// pools comparing equal form one tier whose nodes interleave by
-// awake-before-sleeping then index — the stable sort's tie-break order.
-func (c *Controller) mergePick(elig []*classPool, n int, pref string, anchor float64, anchored bool) []*platform.Node {
-	type tierClass struct {
-		cp          *classPool
-		pref, anchr bool
+// orderFor returns key's order merged at least n deep, and whether that
+// took a merge. A deeper request re-merges into a fresh array of at
+// least twice the old depth — amortized O(1) per node — capped at the
+// total eligible count.
+func (c *Controller) orderFor(key pickKey, j *Job, n, total int) (*pickOrder, bool) {
+	var o *pickOrder
+	for i := range c.pick.orders {
+		if c.pick.orders[i].key == key {
+			o = &c.pick.orders[i]
+			break
+		}
 	}
-	ranked := make([]tierClass, len(elig))
-	for i, cp := range elig {
-		ranked[i] = tierClass{cp: cp, pref: cp.class == pref, anchr: anchored && cp.speed == anchor}
+	switch {
+	case o == nil:
+		if len(c.pick.orders) == cap(c.pick.orders) {
+			c.pick.orders = append(c.pick.orders, pickOrder{})
+		} else {
+			c.pick.orders = c.pick.orders[:len(c.pick.orders)+1]
+		}
+		o = &c.pick.orders[len(c.pick.orders)-1]
+		// A recycled slot keeps its bound arrays' storage, never its nodes.
+		*o = pickOrder{key: key, wake: o.wake[:0], speed: o.speed[:0]}
+	case n <= len(o.nodes):
+		return o, false
 	}
+	depth := min(max(n, 2*len(o.nodes), pickMinDepth), total)
+	o.nodes = c.mergePick(make([]*platform.Node, 0, depth), c.pool.eligibleClasses(j), depth, key)
+	return o, true
+}
+
+// tierClass is one eligible class pool with its job-specific affinity
+// keys.
+type tierClass struct {
+	cp          *classPool
+	pref, anchr bool
+}
+
+// mergePick appends the first n nodes of key's affinity order to out:
+// class pools are ranked by the job-specific keys (preference, anchor
+// match, energy per work); pools comparing equal form one tier whose
+// nodes interleave by awake-before-sleeping then index — the stable
+// sort's tie-break order.
+func (c *Controller) mergePick(out []*platform.Node, elig []*classPool, n int, key pickKey) []*platform.Node {
 	less := func(a, b tierClass) bool {
-		if pref != "" && a.pref != b.pref {
+		if key.pref != "" && a.pref != b.pref {
 			return a.pref
 		}
-		if anchored && a.anchr != b.anchr {
+		if key.anchored && a.anchr != b.anchr {
 			return a.anchr
 		}
 		if c.cfg.ClassAware && a.cp.epw != b.cp.epw {
@@ -684,12 +728,15 @@ func (c *Controller) mergePick(elig []*classPool, n int, pref string, anchor flo
 		}
 		return false
 	}
-	sort.SliceStable(ranked, func(a, b int) bool { return less(ranked[a], ranked[b]) })
-
-	out := make([]*platform.Node, 0, n)
-	awake := make([]bitset, 0, len(ranked))
-	booting := make([]bitset, 0, len(ranked))
-	asleep := make([]bitset, 0, len(ranked))
+	// Stable insertion sort: a fleet has a handful of classes.
+	ranked := c.pick.ranked[:0]
+	for _, cp := range elig {
+		ranked = append(ranked, tierClass{cp: cp, pref: cp.class == key.pref, anchr: key.anchored && cp.speed == key.anchor})
+		for i := len(ranked) - 1; i > 0 && less(ranked[i], ranked[i-1]); i-- {
+			ranked[i], ranked[i-1] = ranked[i-1], ranked[i]
+		}
+	}
+	awake, booting, asleep := c.pick.awake, c.pick.booting, c.pick.asleep
 	for lo := 0; lo < len(ranked) && len(out) < n; {
 		hi := lo + 1
 		for hi < len(ranked) && !less(ranked[lo], ranked[hi]) {
@@ -708,6 +755,7 @@ func (c *Controller) mergePick(elig []*classPool, n int, pref string, anchor flo
 		out = c.pool.appendMerged(out, asleep, n)
 		lo = hi
 	}
+	c.pick.ranked, c.pick.awake, c.pick.booting, c.pick.asleep = ranked, awake, booting, asleep
 	return out
 }
 

@@ -19,8 +19,8 @@ import (
 // bit for bit — see Controller.pickNodes.
 //
 // A version counter increments on every mutation that can change a
-// placement answer; the controller's pass-scoped pickNodes cache keys on
-// it.
+// placement answer; the controller's placement cache (pickCache) keys
+// its affinity orders on it.
 
 // bitset is a bitmap over node indices.
 type bitset []uint64
@@ -47,6 +47,7 @@ type classPool struct {
 	nAwake   int
 	nBooting int
 	nAsleep  int
+	self     []*classPool // {cp}: eligibleClasses' answer for a pinned job
 }
 
 func (cp *classPool) count() int { return cp.nAwake + cp.nBooting + cp.nAsleep }
@@ -81,6 +82,7 @@ func newFreePool(nodes []*platform.Node) *freePool {
 				booting: newBitset(len(nodes)),
 				asleep:  newBitset(len(nodes)),
 			}
+			cp.self = []*classPool{cp}
 			p.byClass[cp.class] = cp
 			p.classes = append(p.classes, cp)
 		}
@@ -202,7 +204,7 @@ func (p *freePool) eligibleClasses(j *Job) []*classPool {
 		return p.classes
 	}
 	if cp := p.byClass[j.ReqClass]; cp != nil {
-		return []*classPool{cp}
+		return cp.self
 	}
 	return nil
 }

@@ -135,7 +135,12 @@ func gpuProfile() energy.Profile {
 // bitmap merge against the seed implementation's stable affinity sort
 // across randomized pool states (allocations, drains, sleeping nodes)
 // and job shapes (pinned, preferring, indifferent, anchored expansions),
-// with and without ClassAware and energy accounting.
+// with and without ClassAware and energy accounting. Every width from 0
+// to the eligible count is probed in a shuffled order, so answers come
+// both from an existing prefix and from a deeper re-merge, and the
+// widths cross the preference-fits boundary and the ClassAware
+// re-anchor's class switch. Answers are capped (len == cap), so a
+// caller's append can never write into the cached order.
 func TestPickNodesMatchesReference(t *testing.T) {
 	for _, mode := range []struct {
 		name       string
@@ -148,6 +153,7 @@ func TestPickNodesMatchesReference(t *testing.T) {
 		{"blind", false, false},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
+			prefCrossed, anchorSwitched := 0, 0
 			for seed := int64(1); seed <= 6; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				cfg := platform.Marenostrum3()
@@ -199,11 +205,17 @@ func TestPickNodesMatchesReference(t *testing.T) {
 				}
 				for _, j := range jobs {
 					limit := c.freeFor(j)
-					for _, n := range []int{0, 1, limit / 2, limit} {
+					if j != nil && j.PrefClass != "" && j.ReqClass == "" {
+						if inPref := c.pool.byClass[j.PrefClass].count(); inPref > 0 && inPref < limit {
+							prefCrossed++
+						}
+					}
+					firstClass := map[string]bool{}
+					for _, n := range rng.Perm(limit + 1) {
 						want := referencePickNodes(c, j, n)
 						got := c.pickNodes(j, n)
-						if len(got) != len(want) {
-							t.Fatalf("seed %d job %+v n=%d: %d nodes, want %d", seed, j, n, len(got), len(want))
+						if len(got) != len(want) || cap(got) != len(got) {
+							t.Fatalf("seed %d job %+v n=%d: %d nodes (cap %d), want %d", seed, j, n, len(got), cap(got), len(want))
 						}
 						for i := range want {
 							if got[i] != want[i] {
@@ -211,15 +223,36 @@ func TestPickNodesMatchesReference(t *testing.T) {
 									seed, j, n, i, got[i].Name, want[i].Name)
 							}
 						}
-						// The memoized path must agree with a fresh merge.
+						if n > 0 && (j == nil || (j.PrefClass == "" && len(j.Alloc()) == 0)) {
+							firstClass[want[0].Class()] = true
+						}
+						// Appending to an answer must not reach the cached
+						// order: the memoized answer, and the widest one,
+						// still match the reference afterwards.
+						_ = append(got, cl.Nodes[0])
 						again := c.pickNodes(j, n)
 						for i := range want {
 							if again[i] != want[i] {
-								t.Fatalf("seed %d job %+v n=%d: cached pick diverged", seed, j, n)
+								t.Fatalf("seed %d job %+v n=%d: cached pick diverged after an append", seed, j, n)
+							}
+						}
+						widest := referencePickNodes(c, j, limit)
+						for i, nd := range c.pickNodes(j, limit) {
+							if nd != widest[i] {
+								t.Fatalf("seed %d job %+v: widest pick[%d] diverged after an append to n=%d", seed, j, i, n)
 							}
 						}
 					}
+					if mode.classAware && len(firstClass) > 1 {
+						anchorSwitched++
+					}
 				}
+			}
+			if prefCrossed == 0 {
+				t.Error("no probe crossed the preference-fits boundary")
+			}
+			if mode.classAware && anchorSwitched == 0 {
+				t.Error("no probe crossed a re-anchor class switch")
 			}
 		})
 	}

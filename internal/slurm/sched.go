@@ -209,6 +209,14 @@ func (c *Controller) schedulePass() {
 	if blocked == nil {
 		return
 	}
+	if tel := c.tel; tel != nil {
+		//simcheck:allow walltime backfill-wall latency is a Prof-only host observation
+		bfWallStart := time.Now()
+		defer func() {
+			//simcheck:allow walltime backfill-wall latency lands in sink.Prof only
+			tel.backfillWall.Observe(time.Since(bfWallStart).Seconds())
+		}()
+	}
 
 	// EASY backfill: compute the shadow time at which the blocked job
 	// could start if running jobs end at their time-limit estimates, and
@@ -225,6 +233,12 @@ func (c *Controller) schedulePass() {
 		// pre-boot the sleeping ones to be up exactly at the shadow time.
 		c.wakeAhead(blocked, shadow)
 	}
+	// Launch bounds read sleep rungs, thermal floors and the clock, which
+	// move between passes without a pool mutation: start a fresh bounds
+	// generation. The main pass reads none, and within the pass every
+	// change to a free node's wake or floor comes with a pool bump (an
+	// allocation), so the bounds cached from here on stay exact.
+	c.pick.gen++
 	eligTake := func(j *Job, n int) int {
 		if blocked.ReqClass == "" {
 			return n
@@ -367,19 +381,28 @@ func (c *Controller) wakePreview(nd *platform.Node) sim.Time {
 // would receive (pickNodes order), and the time limit stretches by the
 // slowest effective speed among them (machine class and any persistent
 // thermal floor) — the coupled step loop really runs that much slower
-// there.
+// there. Both bounds are read off the order's prefix arrays, filled
+// lazily within the current bounds generation, so a candidate costs
+// O(1) once its order is warm.
 func (c *Controller) backfillEnd(j *Job, n int) sim.Time {
-	var wake sim.Time
-	speed := 1.0
-	for _, nd := range c.pickNodes(j, n) {
-		if c.cfg.Energy != nil {
-			if w := c.wakePreview(nd); w > wake {
-				wake = w
+	wake, speed := sim.Time(0), 1.0
+	if o := c.pickOrder(j, n); o != nil {
+		if o.gen != c.pick.gen {
+			o.gen, o.wake, o.speed = c.pick.gen, o.wake[:0], o.speed[:0]
+		}
+		for i := len(o.wake); i < n; i++ {
+			nd := o.nodes[i]
+			var w sim.Time
+			if c.cfg.Energy != nil {
+				w = c.wakePreview(nd)
 			}
+			s := c.nodeStartSpeed(nd)
+			if i > 0 {
+				w, s = max(w, o.wake[i-1]), min(s, o.speed[i-1])
+			}
+			o.wake, o.speed = append(o.wake, w), append(o.speed, s)
 		}
-		if s := c.nodeStartSpeed(nd); s < speed {
-			speed = s
-		}
+		wake, speed = o.wake[n-1], o.speed[n-1]
 	}
 	limit := j.TimeLimit
 	if speed > 0 && speed < 1 {

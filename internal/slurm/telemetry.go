@@ -89,8 +89,9 @@ type telState struct {
 	migrateOrders, migrations *telemetry.Counter
 	migrateCost               *telemetry.Histogram
 
-	// passWall is wall-clock and lives in sink.Prof, never in sink.Reg.
-	passWall *telemetry.Histogram
+	// passWall and backfillWall (the backfill half of a pass) are
+	// wall-clock and live in sink.Prof, never in sink.Reg.
+	passWall, backfillWall *telemetry.Histogram
 
 	// Open-span state: the label each node/job track currently carries
 	// and since when. An empty label is a gap (idle node, finished job).
@@ -133,6 +134,7 @@ func newTelState(c *Controller, sink *telemetry.Sink) *telState {
 		waitHist:       reg.Histogram("job_wait_seconds", waitBuckets),
 		stretchHist:    reg.Histogram("job_stretch", stretchBuckets),
 		passWall:       sink.Prof.Histogram("sched_pass_wall_seconds", passWallBuckets),
+		backfillWall:   sink.Prof.Histogram("sched_backfill_wall_seconds", passWallBuckets),
 		nodeLabel:      make([]string, len(c.cluster.Nodes)),
 		nodeSince:      make([]sim.Time, len(c.cluster.Nodes)),
 		jobLabel:       make(map[int]string),

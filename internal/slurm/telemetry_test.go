@@ -101,6 +101,36 @@ func TestTelemetryProfIsolated(t *testing.T) {
 	}
 }
 
+// TestBackfillWallCountsBackfillPasses: the Prof-only backfill-phase
+// histogram observes exactly the passes whose main loop left a blocked
+// job. On four nodes, A (4 nodes) starts and blocks B in the first pass,
+// which backfills; A's end starts B and C with nothing left blocked, and
+// their ends find an empty queue: three passes, one backfill.
+func TestBackfillWallCountsBackfillPasses(t *testing.T) {
+	cl := testCluster(4)
+	cfg := DefaultConfig()
+	cfg.Telemetry = telemetry.New()
+	c := NewController(cl, cfg)
+	c.Submit(sleeperJob(c, "A", 4, 100*sim.Second))
+	c.Submit(sleeperJob(c, "B", 2, 50*sim.Second))
+	c.Submit(sleeperJob(c, "C", 2, 50*sim.Second))
+	cl.K.Run()
+	s := cfg.Telemetry
+	if got := s.Reg.Counter("sched_passes_total").Value(); got != 3 {
+		t.Fatalf("%d passes, want 3", got)
+	}
+	h := s.Prof.LookupHistogram("sched_backfill_wall_seconds")
+	if h == nil {
+		t.Fatal("sched_backfill_wall_seconds not registered in the profiling registry")
+	}
+	if h.Count() != 1 {
+		t.Fatalf("backfill wall histogram counted %d passes, want 1", h.Count())
+	}
+	if s.Reg.LookupHistogram("sched_backfill_wall_seconds") != nil {
+		t.Fatal("wall-clock backfill histogram leaked into the deterministic registry")
+	}
+}
+
 // TestSampleFanOut: two subscribers both see every sample — the
 // regression the subscription API exists for (Recorder.Attach used to
 // silently overwrite the controller's single callback).
