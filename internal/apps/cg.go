@@ -23,6 +23,14 @@ type CGChunk struct {
 	Wire  int64
 }
 
+// cgInvPow2[d] is 2^-d, exact in float64 for every d a matrix entry uses.
+var cgInvPow2 = func() (t [53]float64) {
+	for d := range t {
+		t[d] = 1 / float64(uint64(1)<<d)
+	}
+	return t
+}()
+
 // cgMatrix returns entry (i, j) of the synthetic SPD system: a
 // symmetric, strictly diagonally dominant matrix with exponential
 // off-diagonal decay (well conditioned, so CG converges fast in tests).
@@ -37,7 +45,7 @@ func cgMatrix(i, j int) float64 {
 	if d > 52 { // below double precision relevance
 		return 0
 	}
-	return 1 / math.Pow(2, float64(d))
+	return cgInvPow2[d]
 }
 
 // cgRHS returns entry i of the right-hand side.

@@ -58,3 +58,29 @@ func BenchmarkCommSpawn(b *testing.B) {
 	b.ResetTimer()
 	c.K.Run()
 }
+
+// BenchmarkBcastRendezvous measures one Bcast rendezvous over 32 ranks
+// per op, the collective every rank of a DMR process set joins at each
+// reconfiguring point: 32 arrivals, the completion timer and 32 resumes.
+// The payload is a pointer, as the runtime's check verdict is.
+func BenchmarkBcastRendezvous(b *testing.B) {
+	const p = 32
+	c := testCluster(p)
+	w := NewWorld(c, c.Nodes[:p])
+	payload := new(int)
+	n := b.N
+	w.Start("bench", func(r *Rank) {
+		var data any
+		if r.Rank() == 0 {
+			data = payload
+		}
+		for i := 0; i < n; i++ {
+			r.Bcast(0, data, 16)
+		}
+	})
+	c.K.RunUntil(0) // every rank has arrived at the first collective
+	b.ReportAllocs()
+	b.ResetTimer()
+	c.K.Run()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/collective")
+}

@@ -6,15 +6,19 @@ import (
 	"repro/internal/sim"
 )
 
-// collState tracks one in-progress collective rendezvous on a Comm.
-// SPMD discipline means at most one collective is active per communicator
-// at a time; the op name is asserted to catch mismatched calls.
+// collState tracks one collective rendezvous on a Comm. SPMD discipline
+// means at most one collective is active per communicator at a time; the
+// op name is asserted to catch mismatched calls. A state is idle when
+// every expected rank has arrived (or, before first use, none is
+// expected), and is then reused, with its vals and done signal, by a
+// later collective.
 type collState struct {
 	op       string
 	expected int
 	arrived  int
 	vals     []any
 	done     *sim.Signal
+	fire     func() // done.Fire, bound once
 	result   any
 }
 
@@ -31,17 +35,23 @@ func ceilLog2(p int) int {
 // rendezvous implements the generic "all ranks arrive, combine, all leave
 // together" pattern. combine runs once, on the last arrival's values; all
 // ranks resume after cost and receive a per-rank clone of the result.
+//
+// The Comm's two states serve collectives in turn. Collective k's state
+// must survive until its slowest rank has resumed and read the result,
+// and a fast rank may enter k+1 before then; but k+2 cannot start until
+// every rank has arrived at k+1, so by the time k+2 reuses k's state no
+// rank still reads it.
 func (c *Comm) rendezvous(r *Rank, op string, val any, combine func(vals []any) any, cost sim.Time) any {
-	if c.coll == nil {
-		c.coll = &collState{
-			op:       op,
-			expected: c.Size(),
-			vals:     make([]any, c.Size()),
-			done:     sim.NewSignal(c.cluster.K),
+	st := &c.coll[c.collTurn]
+	if st.arrived == st.expected {
+		if st.done == nil {
+			st.vals = make([]any, c.Size())
+			st.done = sim.NewSignal(c.cluster.K)
+			st.fire = st.done.Fire
 		}
-	}
-	st := c.coll
-	if st.op != op {
+		st.op, st.expected, st.arrived, st.result = op, c.Size(), 0, nil
+		st.done.Reset()
+	} else if st.op != op {
 		panic(fmt.Sprintf("mpi: collective mismatch on comm %d: rank %d called %s while %s in progress", c.id, r.rank, op, st.op))
 	}
 	// Clone on arrival: a rank that resumes first may mutate its buffer
@@ -52,9 +62,9 @@ func (c *Comm) rendezvous(r *Rank, op string, val any, combine func(vals []any) 
 		if combine != nil {
 			st.result = combine(st.vals)
 		}
-		c.coll = nil // next collective starts fresh
-		done := st.done
-		c.cluster.K.After(cost, done.Fire)
+		clear(st.vals)
+		c.collTurn ^= 1 // the next collective starts on the other state
+		c.cluster.K.After(cost, st.fire)
 	}
 	st.done.Wait(r.proc)
 	return cloneData(st.result)

@@ -145,8 +145,9 @@ type Comm struct {
 	parent  *Intercomm // non-nil on spawned communicators
 	procs   []*sim.Proc
 
-	coll    *collState  // current collective rendezvous, if any
-	mergeSt *mergeState // in-progress IntercommMerge, if any
+	coll     [2]collState // collective rendezvous states, used in turn
+	collTurn int          // index of the state the next collective uses
+	mergeSt  *mergeState  // in-progress IntercommMerge, if any
 }
 
 var nextCommID int

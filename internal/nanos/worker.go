@@ -129,10 +129,15 @@ func (w *Worker) MigrateFinish() {
 }
 
 // checkResult is the verdict rank 0 distributes to the process set.
+// Ranks only read it.
 type checkResult struct {
 	action  slurm.Action
 	handler *Handler
 }
+
+// noAction is the shared verdict of every check that changes nothing,
+// nearly all of them, so that path allocates no result.
+var noAction = &checkResult{action: slurm.NoAction}
 
 // CheckStatus is dmr_check_status: it asks the RMS (through the runtime)
 // whether the job should expand, shrink, or keep its size. The call is
@@ -169,12 +174,12 @@ func (rt *Runtime) decideAndPrepare(w *Worker, req Request, async bool) *checkRe
 	now := p.Now()
 	rt.Stats.Checks++
 	if rt.stale() {
-		return &checkResult{action: slurm.NoAction}
+		return noAction
 	}
 	if rt.resizing {
 		// A previous reconfiguration has not fully landed in the RMS
 		// yet (shrink release pending): ignore the call.
-		return &checkResult{action: slurm.NoAction}
+		return noAction
 	}
 	// Failure recovery preempts voluntary resizing and is never
 	// inhibited: a crash must be dealt with at the first reconfiguring
@@ -186,11 +191,11 @@ func (rt *Runtime) decideAndPrepare(w *Worker, req Request, async bool) *checkRe
 		// A live-migration order is pending: the application picks it up
 		// at its next loop head; granting a resize now would race the
 		// checkpoint/requeue move.
-		return &checkResult{action: slurm.NoAction}
+		return noAction
 	}
 	if rt.cfg.SchedPeriod > 0 && rt.checkedOnce && now-rt.lastCheck < rt.cfg.SchedPeriod {
 		rt.Stats.Inhibited++
-		return &checkResult{action: slurm.NoAction}
+		return noAction
 	}
 	rt.lastCheck = now
 	rt.checkedOnce = true
@@ -205,13 +210,13 @@ func (rt *Runtime) decideAndPrepare(w *Worker, req Request, async bool) *checkRe
 	switch dec.Action {
 	case slurm.Expand:
 		if dec.NewNodes <= rt.job.NNodes() {
-			return &checkResult{action: slurm.NoAction}
+			return noAction
 		}
 		rt.resizing = true
 		if !rt.expandDance(p, dec.NewNodes) {
 			rt.Stats.ExpandAborts++
 			rt.resizing = false
-			return &checkResult{action: slurm.NoAction}
+			return noAction
 		}
 		rt.Stats.Expands++
 		h := rt.spawnNewSet(w, slurm.Expand, dec.NewNodes, rt.job.Alloc())
@@ -221,7 +226,7 @@ func (rt *Runtime) decideAndPrepare(w *Worker, req Request, async bool) *checkRe
 		return &checkResult{action: slurm.Expand, handler: h}
 	case slurm.Shrink:
 		if dec.NewNodes >= rt.job.NNodes() || dec.NewNodes < 1 {
-			return &checkResult{action: slurm.NoAction}
+			return noAction
 		}
 		rt.Stats.Shrinks++
 		rt.resizing = true
@@ -231,7 +236,7 @@ func (rt *Runtime) decideAndPrepare(w *Worker, req Request, async bool) *checkRe
 		h := rt.spawnNewSet(w, slurm.Shrink, dec.NewNodes, rt.job.Alloc()[:dec.NewNodes])
 		return &checkResult{action: slurm.Shrink, handler: h}
 	}
-	return &checkResult{action: slurm.NoAction}
+	return noAction
 }
 
 // syncFailed drops crash reports that no longer concern the current
@@ -288,7 +293,7 @@ func (rt *Runtime) prepareRecovery(w *Worker, failed []*platform.Node, req Reque
 		// incarnation, so this whole set (and its verdict) goes stale
 		// and unwinds without touching the fresh restart.
 		rt.ctl.RequeueFailed(rt.job)
-		return &checkResult{action: slurm.NoAction}
+		return noAction
 	}
 	nodes := make([]*platform.Node, len(survivors))
 	for i, r := range survivors {

@@ -7,13 +7,17 @@ import (
 	"sort"
 )
 
-// event is a unit of work on the kernel's calendar. fn runs in kernel
-// context: it may mutate simulation state and resume processes, but it
-// must never block.
+// event is a unit of work on the kernel's calendar: either a process
+// wake (p resumes with the wake stored on it) or a callback (fn runs in
+// kernel context: it may mutate simulation state and resume processes,
+// but it must never block). Every process wake is typed, so sleeping,
+// spawning and waking allocate no closure; fn is left for At, After and
+// timeout timers. The entry stays at 32 bytes.
 type event struct {
 	t   Time
 	seq uint64
 	fn  func()
+	p   *Proc
 }
 
 // precedes orders events by (time, sequence number) — the kernel's total
@@ -52,7 +56,7 @@ func (h *eventHeap) pop() event {
 	top := q[0]
 	n := len(q) - 1
 	q[0] = q[n]
-	q[n] = event{} // release the closure
+	q[n] = event{} // release the closure or process
 	q = q[:n]
 	i := 0
 	for {
@@ -126,72 +130,74 @@ func (k *Kernel) Now() Time { return k.now }
 // Events reports how many calendar events have been executed so far.
 func (k *Kernel) Events() uint64 { return k.eventCnt }
 
-// schedule enqueues fn to run at time t (>= now) in kernel context.
-func (k *Kernel) schedule(t Time, fn func()) {
+// schedule enqueues ev at time t (>= now) under the next sequence number.
+func (k *Kernel) schedule(t Time, ev event) {
 	if t < k.now {
 		t = k.now
 	}
 	k.seq++
+	ev.t, ev.seq = t, k.seq
 	if t == k.now {
-		k.imm = append(k.imm, event{t: t, seq: k.seq, fn: fn})
+		k.imm = append(k.imm, ev)
 		return
 	}
-	k.queue.push(event{t: t, seq: k.seq, fn: fn})
+	k.queue.push(ev)
 }
+
+// wakeAt schedules p to resume at time t with the wake stored in p.wake.
+func (k *Kernel) wakeAt(t Time, p *Proc) { k.schedule(t, event{p: p}) }
 
 // At schedules fn to run at absolute virtual time t in kernel context.
 // fn must not block; to run blocking code, spawn a process from fn.
-func (k *Kernel) At(t Time, fn func()) { k.schedule(t, fn) }
+func (k *Kernel) At(t Time, fn func()) { k.schedule(t, event{fn: fn}) }
 
 // After schedules fn to run d after the current virtual time.
-func (k *Kernel) After(d Time, fn func()) { k.schedule(k.now+d, fn) }
+func (k *Kernel) After(d Time, fn func()) { k.At(k.now+d, fn) }
 
 // Stop makes Run return after the current event completes. Pending events
 // are kept, so Run may be called again to continue.
 func (k *Kernel) Stop() { k.stopped = true }
 
-// peek returns the earliest pending event without removing it.
-func (k *Kernel) peek() (event, bool) {
-	hasImm := k.immHead < len(k.imm)
-	switch {
-	case hasImm && (len(k.queue) == 0 || k.imm[k.immHead].precedes(k.queue[0])):
-		return k.imm[k.immHead], true
-	case len(k.queue) > 0:
-		return k.queue[0], true
-	}
-	return event{}, false
-}
-
-// popNext removes and returns the earliest pending event. The imm FIFO is
-// kept sorted by construction (times are the non-decreasing schedule-time
-// clocks, sequences only grow), so its head and the heap top are the only
-// candidates.
-func (k *Kernel) popNext() event {
+// popNext removes and returns the earliest pending event if keep holds
+// for its time. The imm FIFO is kept sorted by construction (times are
+// the non-decreasing schedule-time clocks, sequences only grow), so its
+// head and the heap top are the only candidates.
+func (k *Kernel) popNext(keep func(Time) bool) (event, bool) {
 	if k.immHead < len(k.imm) && (len(k.queue) == 0 || k.imm[k.immHead].precedes(k.queue[0])) {
 		ev := k.imm[k.immHead]
-		k.imm[k.immHead] = event{} // release the closure
+		if !keep(ev.t) {
+			return event{}, false
+		}
+		k.imm[k.immHead] = event{} // release the closure or process
 		k.immHead++
 		if k.immHead == len(k.imm) {
 			k.imm = k.imm[:0]
 			k.immHead = 0
 		}
-		return ev
+		return ev, true
 	}
-	return k.queue.pop()
+	if len(k.queue) == 0 || !keep(k.queue[0].t) {
+		return event{}, false
+	}
+	return k.queue.pop(), true
 }
 
-// run executes pending events in (t, seq) order while keep(next) holds.
-func (k *Kernel) run(keep func(event) bool) {
+// run executes pending events in (t, seq) order while keep(t) holds for
+// the next event's time t.
+func (k *Kernel) run(keep func(Time) bool) {
 	k.stopped = false
 	for !k.stopped {
-		ev, ok := k.peek()
-		if !ok || !keep(ev) {
+		ev, ok := k.popNext(keep)
+		if !ok {
 			break
 		}
-		k.popNext()
 		k.now = ev.t
 		k.eventCnt++
-		ev.fn()
+		if ev.p != nil {
+			k.dispatch(ev.p)
+		} else {
+			ev.fn()
+		}
 		if k.fatal != nil {
 			f := k.fatal
 			panic(fmt.Sprintf("sim: process %q panicked: %v\n%s", f.proc, f.value, f.stack))
@@ -205,7 +211,7 @@ func (k *Kernel) run(keep func(event) bool) {
 // Run executes calendar events in order until no events remain or Stop is
 // called. It panics if any simulated process panicked.
 func (k *Kernel) Run() {
-	k.run(func(event) bool { return true })
+	k.run(func(Time) bool { return true })
 }
 
 // Step executes exactly one pending calendar event and reports whether
@@ -214,7 +220,7 @@ func (k *Kernel) Run() {
 // between every pair of events.
 func (k *Kernel) Step() bool {
 	ran := false
-	k.run(func(event) bool {
+	k.run(func(Time) bool {
 		if ran {
 			return false
 		}
@@ -226,7 +232,7 @@ func (k *Kernel) Step() bool {
 
 // RunUntil executes events with time <= t, then sets the clock to t.
 func (k *Kernel) RunUntil(t Time) {
-	k.run(func(ev event) bool { return ev.t <= t })
+	k.run(func(next Time) bool { return next <= t })
 	if k.now < t {
 		k.now = t
 	}
@@ -250,10 +256,11 @@ func (k *Kernel) LiveProcs() []string {
 	return names
 }
 
-// dispatch transfers control to p until it blocks or exits. It must only
-// be called from kernel context (inside an event fn); a dispatch while a
-// process is running means the kernel was re-entered from that process.
-func (k *Kernel) dispatch(p *Proc, w wake) {
+// dispatch transfers control to p, with the wake stored in p.wake, until
+// it blocks or exits. It must only be called from kernel context (inside
+// an event); a dispatch while a process is running means the kernel was
+// re-entered from that process.
+func (k *Kernel) dispatch(p *Proc) {
 	if p.done {
 		return
 	}
@@ -263,7 +270,6 @@ func (k *Kernel) dispatch(p *Proc, w wake) {
 	if k.Trace != nil {
 		k.Trace(k.now, p.name)
 	}
-	p.wake = w
 	k.running = p
 	p.co.next()
 	k.running = nil
@@ -287,17 +293,17 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 		p.co = k.newCoroutine()
 	}
 	p.co.p = p
-	k.schedule(k.now, func() { k.dispatch(p, wake{}) })
+	k.wakeAt(k.now, p)
 	return p
 }
 
 // coroutine is an iter.Pull coroutine that runs process bodies one
 // after another: when a body ends it parks on the kernel's idle list
-// until Spawn hands it the next one. Reuse keeps Spawn to two
-// allocations, and keeps a finished process from ending a coroutine
-// goroutine: under Go 1.24's race detector every ended coroutine leaks
-// its race state (runtime.coroexit skips racegoend), which ran the
-// experiments tests out of memory.
+// until Spawn hands it the next one. Reuse keeps Spawn to one
+// allocation, the Proc, and keeps a finished process from ending a
+// coroutine goroutine: under Go 1.24's race detector every ended
+// coroutine leaks its race state (runtime.coroexit skips racegoend),
+// which ran the experiments tests out of memory.
 type coroutine struct {
 	next  func() (struct{}, bool)
 	stop  func()

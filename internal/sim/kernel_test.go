@@ -483,8 +483,32 @@ func TestKernelContextMisusePanics(t *testing.T) {
 	}
 }
 
+// goroutineIDs returns the IDs of the goroutines a full stack dump
+// shows. IDs are never reused, so a goroutine missing from an earlier
+// dump was started since. Under the race detector runtime.NumGoroutine
+// can still count a goroutine of an earlier test that the dump no
+// longer shows, so comparing counts flakes where comparing IDs does not.
+func goroutineIDs() map[string]bool {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	ids := make(map[string]bool)
+	for _, line := range strings.Split(string(buf), "\n") {
+		if f := strings.Fields(line); len(f) > 1 && f[0] == "goroutine" {
+			ids[f[1]] = true
+		}
+	}
+	return ids
+}
+
 func TestRunLeavesNoGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := goroutineIDs()
 	k := NewKernel()
 	spawn := func(i int) {
 		k.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
@@ -508,8 +532,10 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 	if live := k.LiveProcs(); len(live) != 0 {
 		t.Fatalf("%d processes still live", len(live))
 	}
-	if after := runtime.NumGoroutine(); after != before {
-		t.Fatalf("goroutines: %d before the kernel, %d after Run", before, after)
+	for id := range goroutineIDs() {
+		if !before[id] {
+			t.Fatalf("goroutine %s started by the kernel is still running after Run", id)
+		}
 	}
 }
 

@@ -13,17 +13,26 @@ type wake struct {
 // that the kernel resumes at each dispatch and that yields back whenever
 // it blocks. All methods must be called from the process's own context
 // unless documented otherwise.
+//
+// A process parks on at most one synchronization object at a time, so
+// the waiter lives here: the object lists the *Proc, and the flags
+// below describe the current wait. At most one resume is pending at a
+// time; the only exception, a Kill racing an already scheduled wake,
+// unwinds the process at whichever resume comes first.
 type Proc struct {
 	k       *Kernel
 	id      int64
 	name    string
 	body    func(p *Proc)
 	co      *coroutine // runs body; reused by a later Spawn once done
-	wake    wake       // reason for the pending resume, set by dispatch
+	wake    wake       // reason for the pending resume, set when scheduled
 	done    bool
 	killed  bool
 	exitFns []func()
-	waiting *waiter // waiter currently parked on, for Kill
+
+	parked  bool   // blocked on a synchronization object; Kill wakes it
+	settled bool   // the current wait has been woken or cancelled
+	waitGen uint64 // counts waits, so a stale timeout cannot act on a later one
 }
 
 // Name returns the process name given at Spawn.
@@ -57,8 +66,7 @@ func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		d = 0
 	}
-	k := p.k
-	k.schedule(k.now+d, func() { k.dispatch(p, wake{}) })
+	p.k.wakeAt(p.k.now+d, p)
 	p.block()
 }
 
@@ -87,14 +95,13 @@ func (p *Proc) Kill() {
 		return
 	}
 	p.killed = true
-	// If blocked on a waiter, wake it now so it can unwind.
+	// If parked on a synchronization object, wake it now so it can unwind.
 	// Sleeping processes unwind when their timer fires.
-	if p.waiting != nil {
-		w := p.waiting
-		p.waiting = nil
-		w.cancelled = true
-		k := p.k
-		k.schedule(k.now, func() { k.dispatch(p, wake{killed: true}) })
+	if p.parked {
+		p.parked = false
+		p.settled = true
+		p.wake = wake{killed: true}
+		p.k.wakeAt(p.k.now, p)
 	}
 }
 

@@ -1,27 +1,53 @@
 package sim
 
-// waiter represents one parked process on a synchronization object.
-type waiter struct {
-	p         *Proc
-	woken     bool
-	cancelled bool
+// enlist starts a new wait for p on the waiter list ws and returns the
+// wait's generation.
+func (p *Proc) enlist(ws *[]*Proc) uint64 {
+	p.parked = true
+	p.settled = false
+	p.waitGen++
+	*ws = append(*ws, p)
+	return p.waitGen
 }
 
-// park registers w as p's current wait and yields. It returns the wake.
-func park(p *Proc, w *waiter) wake {
-	p.waiting = w
+// park yields until the wait begun by enlist is woken, and returns the
+// wake.
+func (p *Proc) park() wake {
 	wk := p.block()
-	p.waiting = nil
+	p.parked = false
 	return wk
 }
 
-// wakeWaiter schedules w's process to resume with wk at the current time.
-func wakeWaiter(k *Kernel, w *waiter, wk wake) {
-	if w.woken || w.cancelled {
+// wakeWaiter schedules p's wait to resume with wk at the current time,
+// unless that wait was already woken or cancelled.
+func wakeWaiter(k *Kernel, p *Proc, wk wake) {
+	if p.settled {
 		return
 	}
-	w.woken = true
-	k.schedule(k.now, func() { k.dispatch(w.p, wk) })
+	p.settled = true
+	p.wake = wk
+	k.wakeAt(k.now, p)
+}
+
+// timeout returns the timer of wait gen of p on the waiter list ws:
+// unless that wait ended first, it unlists p and resumes it with a
+// timeout. Every wait has a later generation than the one before, so a
+// timer whose wait was woken cannot resume a later wait of the process.
+func timeout(p *Proc, gen uint64, ws *[]*Proc) func() {
+	return func() {
+		if p.waitGen != gen || p.settled {
+			return
+		}
+		p.settled = true
+		for i, x := range *ws {
+			if x == p {
+				*ws = append((*ws)[:i], (*ws)[i+1:]...)
+				break
+			}
+		}
+		p.wake = wake{timeout: true}
+		p.k.dispatch(p)
+	}
 }
 
 // Signal is a one-shot latch: Fire wakes all current and future waiters.
@@ -29,7 +55,7 @@ func wakeWaiter(k *Kernel, w *waiter, wk wake) {
 type Signal struct {
 	k       *Kernel
 	fired   bool
-	waiters []*waiter
+	waiters []*Proc
 }
 
 // NewSignal returns an unfired Signal.
@@ -45,12 +71,17 @@ func (s *Signal) Fire() {
 		return
 	}
 	s.fired = true
-	ws := s.waiters
-	s.waiters = nil
-	for _, w := range ws {
-		wakeWaiter(s.k, w, wake{})
+	for _, p := range s.waiters {
+		wakeWaiter(s.k, p, wake{})
 	}
+	clear(s.waiters)
+	s.waiters = s.waiters[:0] // keep the array for the next round
 }
+
+// Reset re-arms a fired signal, so later Waits block until the next
+// Fire. Fire leaves no waiter listed, so a reset signal starts empty;
+// reusing one avoids a Signal per round of a repeated rendezvous.
+func (s *Signal) Reset() { s.fired = false }
 
 // Wait blocks p until the signal fires. Returns immediately if already
 // fired.
@@ -58,9 +89,8 @@ func (s *Signal) Wait(p *Proc) {
 	if s.fired {
 		return
 	}
-	w := &waiter{p: p}
-	s.waiters = append(s.waiters, w)
-	park(p, w)
+	p.enlist(&s.waiters)
+	p.park()
 }
 
 // WaitTimeout blocks p until the signal fires or d elapses. It reports
@@ -69,28 +99,8 @@ func (s *Signal) WaitTimeout(p *Proc, d Time) bool {
 	if s.fired {
 		return true
 	}
-	w := &waiter{p: p}
-	s.waiters = append(s.waiters, w)
-	k := p.k
-	k.schedule(k.now+d, func() {
-		if w.woken || w.cancelled {
-			return
-		}
-		w.woken = true
-		s.removeWaiter(w)
-		k.dispatch(p, wake{timeout: true})
-	})
-	wk := park(p, w)
-	return !wk.timeout
-}
-
-func (s *Signal) removeWaiter(w *waiter) {
-	for i, x := range s.waiters {
-		if x == w {
-			s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
-			return
-		}
-	}
+	p.k.After(d, timeout(p, p.enlist(&s.waiters), &s.waiters))
+	return !p.park().timeout
 }
 
 // Queue is an unbounded FIFO message queue. Push never blocks; Pop blocks
@@ -98,7 +108,7 @@ func (s *Signal) removeWaiter(w *waiter) {
 type Queue struct {
 	k       *Kernel
 	items   []any
-	waiters []*waiter
+	waiters []*Proc
 }
 
 // NewQueue returns an empty queue.
@@ -111,12 +121,12 @@ func (q *Queue) Len() int { return len(q.items) }
 // receives v directly. Safe from kernel or process context.
 func (q *Queue) Push(v any) {
 	for len(q.waiters) > 0 {
-		w := q.waiters[0]
+		p := q.waiters[0]
 		q.waiters = q.waiters[1:]
-		if w.woken || w.cancelled {
+		if p.settled {
 			continue
 		}
-		wakeWaiter(q.k, w, wake{val: v})
+		wakeWaiter(q.k, p, wake{val: v})
 		return
 	}
 	q.items = append(q.items, v)
@@ -129,10 +139,8 @@ func (q *Queue) Pop(p *Proc) any {
 		q.items = q.items[1:]
 		return v
 	}
-	w := &waiter{p: p}
-	q.waiters = append(q.waiters, w)
-	wk := park(p, w)
-	return wk.val
+	p.enlist(&q.waiters)
+	return p.park().val
 }
 
 // TryPop removes and returns the oldest item without blocking.
@@ -152,31 +160,12 @@ func (q *Queue) PopTimeout(p *Proc, d Time) (v any, ok bool) {
 		q.items = q.items[1:]
 		return v, true
 	}
-	w := &waiter{p: p}
-	q.waiters = append(q.waiters, w)
-	k := p.k
-	k.schedule(k.now+d, func() {
-		if w.woken || w.cancelled {
-			return
-		}
-		w.woken = true
-		q.removeWaiter(w)
-		k.dispatch(p, wake{timeout: true})
-	})
-	wk := park(p, w)
+	p.k.After(d, timeout(p, p.enlist(&q.waiters), &q.waiters))
+	wk := p.park()
 	if wk.timeout {
 		return nil, false
 	}
 	return wk.val, true
-}
-
-func (q *Queue) removeWaiter(w *waiter) {
-	for i, x := range q.waiters {
-		if x == w {
-			q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
-			return
-		}
-	}
 }
 
 // Resource is a counting semaphore used to model contended hardware such
@@ -186,7 +175,7 @@ type Resource struct {
 	k       *Kernel
 	cap     int
 	inUse   int
-	waiters []*waiter
+	waiters []*Proc
 }
 
 // NewResource returns a resource with capacity slots (at least 1).
@@ -211,9 +200,8 @@ func (r *Resource) Acquire(p *Proc) {
 		r.inUse++
 		return
 	}
-	w := &waiter{p: p}
-	r.waiters = append(r.waiters, w)
-	park(p, w)
+	p.enlist(&r.waiters)
+	p.park()
 	// The releaser transferred its slot to us; inUse stays constant.
 }
 
@@ -221,12 +209,12 @@ func (r *Resource) Acquire(p *Proc) {
 // kernel or process context.
 func (r *Resource) Release() {
 	for len(r.waiters) > 0 {
-		w := r.waiters[0]
+		p := r.waiters[0]
 		r.waiters = r.waiters[1:]
-		if w.woken || w.cancelled {
+		if p.settled {
 			continue
 		}
-		wakeWaiter(r.k, w, wake{})
+		wakeWaiter(r.k, p, wake{})
 		return
 	}
 	if r.inUse > 0 {

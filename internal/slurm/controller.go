@@ -206,6 +206,8 @@ type Controller struct {
 	sampleSubs  []SampleFunc
 
 	tel *telState // telemetry hooks; nil unless Config.Telemetry is set
+
+	eligibleBuf []*Job // QueueView.PendingEligible's answer, reused per call
 }
 
 // SampleFunc observes one allocation snapshot.

@@ -381,3 +381,34 @@ func TestNewControllerRejectsBadFeatures(t *testing.T) {
 		})
 	}
 }
+
+// PendingEligible answers from a buffer the controller reuses, so a DMR
+// decision does not copy the queue: a warm call allocates nothing, and
+// resizer jobs stay out of the answer.
+func TestPendingEligibleReusesItsBuffer(t *testing.T) {
+	cl := testCluster(32)
+	c := NewController(cl, DefaultConfig())
+	holder := c.Submit(sleeperJob(c, "holder", 31, sim.Hour))
+	for i := 0; i < 16; i++ {
+		c.Submit(sleeperJob(c, fmt.Sprintf("pend%d", i), 32, sim.Hour))
+	}
+	cl.K.RunUntil(sim.Second)
+	c.SubmitResizer(holder, 2, func(*Job) {})
+	cl.K.RunUntil(2 * sim.Second)
+	if n := len(c.PendingJobs()); n != 17 {
+		t.Fatalf("%d pending jobs, want 16 plus the resizer", n)
+	}
+	v := &QueueView{ctl: c, job: holder}
+	got := v.PendingEligible()
+	if len(got) != 16 {
+		t.Fatalf("%d eligible jobs, want the 16 non-resizers", len(got))
+	}
+	for i, j := range got {
+		if want := fmt.Sprintf("pend%d", i); j.Name != want {
+			t.Fatalf("answer[%d] = %s, want %s", i, j.Name, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { v.PendingEligible() }); n != 0 {
+		t.Errorf("PendingEligible: %v allocations per call, want 0", n)
+	}
+}

@@ -66,15 +66,22 @@ func (v *QueueView) Job() *Job { return v.job }
 // PendingEligible returns pending jobs whose dependencies are satisfied,
 // in priority order, excluding resizer jobs (they belong to in-flight
 // expansions, not to the workload). The pending queue is maintained in
-// priority order, so this is a single filtered walk.
+// priority order, so this is a single filtered walk. The answer is the
+// controller's reused buffer: it is valid until the next call, and the
+// caller must not modify it.
 func (v *QueueView) PendingEligible() []*Job {
-	out := make([]*Job, 0, len(v.ctl.pending))
+	prev := v.ctl.eligibleBuf
+	out := prev[:0]
 	for _, j := range v.ctl.pending {
 		if j.Resizer || !v.ctl.eligible(j) {
 			continue
 		}
 		out = append(out, j)
 	}
+	if len(out) < len(prev) {
+		clear(prev[len(out):]) // release jobs the last answer held
+	}
+	v.ctl.eligibleBuf = out
 	return out
 }
 
